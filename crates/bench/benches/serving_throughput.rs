@@ -142,7 +142,7 @@ where
 {
     let barrier = Barrier::new(clients + 1);
     let all_latencies = Mutex::new(Vec::new());
-    let started = Mutex::new(None::<Instant>);
+    let mut started = None;
     std::thread::scope(|scope| {
         for c in 0..clients {
             let barrier = &barrier;
@@ -158,15 +158,13 @@ where
                 all_latencies.lock().unwrap().extend(local);
             });
         }
+        // The clock starts before the barrier releases any client, so
+        // no request can run before it.
+        started = Some(Instant::now());
         barrier.wait();
-        *started.lock().unwrap() = Some(Instant::now());
         // The scope joins every client before returning.
     });
-    let elapsed = started
-        .lock()
-        .unwrap()
-        .expect("set after barrier")
-        .elapsed();
+    let elapsed = started.expect("set before the barrier").elapsed();
     let requests = clients * REQS_PER_CLIENT;
     let mut latencies = all_latencies.into_inner().unwrap();
     assert_eq!(latencies.len(), requests, "every request must be observed");
@@ -174,6 +172,19 @@ where
     RunStats {
         elems_per_sec: (requests * REQ_ELEMS) as f64 / elapsed.as_secs_f64(),
         latencies,
+    }
+}
+
+/// The serving config of every server-backed row (batched, tuned,
+/// traced, wire), so the wire rows price only the wire. The flush
+/// deadline is the shipped default, so the rows measure the shipped
+/// policy.
+fn serve_config(online: usize) -> ServeConfig {
+    ServeConfig {
+        flush_elements: 8 * 1024,
+        queue_elements: 64 * 1024,
+        eval_workers: online.clamp(1, 4),
+        ..ServeConfig::default()
     }
 }
 
@@ -186,15 +197,7 @@ fn run_batched(
     registry: &Arc<FunctionRegistry>,
     function: FunctionId,
 ) -> RunStats {
-    let server = PwlServer::start(
-        Arc::clone(registry),
-        ServeConfig {
-            flush_elements: 8 * 1024,
-            flush_interval: Duration::from_micros(200),
-            queue_elements: 64 * 1024,
-            eval_workers: online.clamp(1, 4),
-        },
-    );
+    let server = PwlServer::start(Arc::clone(registry), serve_config(online));
     let handle = server.handle();
     let windows: Vec<Mutex<VecDeque<(Instant, JobTicket)>>> =
         (0..clients).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -237,15 +240,7 @@ fn run_traced(clients: usize, online: usize, registry: &Arc<FunctionRegistry>) -
         events: full.events[..clients * REQS_PER_CLIENT].to_vec(),
     };
     let elems: usize = sub.events.iter().map(|e| e.payload.len()).sum();
-    let server = PwlServer::start(
-        Arc::clone(registry),
-        ServeConfig {
-            flush_elements: 8 * 1024,
-            flush_interval: Duration::from_micros(200),
-            queue_elements: 64 * 1024,
-            eval_workers: online.clamp(1, 4),
-        },
-    );
+    let server = PwlServer::start(Arc::clone(registry), serve_config(online));
     let handle = server.handle();
     let t0 = Instant::now();
     let report = replay_rounds(&sub, &handle, &|n| registry.id_of(n), 1024, |_| {})
@@ -254,17 +249,6 @@ fn run_traced(clients: usize, online: usize, registry: &Arc<FunctionRegistry>) -
     assert_eq!(report.completed, sub.events.len());
     server.shutdown();
     elems as f64 / elapsed.as_secs_f64()
-}
-
-/// The serving config every wire run fronts (identical to
-/// [`run_batched`]'s, so the wire rows price only the wire).
-fn wire_serve_config(online: usize) -> ServeConfig {
-    ServeConfig {
-        flush_elements: 8 * 1024,
-        flush_interval: Duration::from_micros(200),
-        queue_elements: 64 * 1024,
-        eval_workers: online.clamp(1, 4),
-    }
 }
 
 /// One closed-loop run over localhost TCP: `clients` connections into a
@@ -278,7 +262,7 @@ fn run_wire(
     function: FunctionId,
     windowed: bool,
 ) -> RunStats {
-    let server = PwlServer::start(Arc::clone(registry), wire_serve_config(online));
+    let server = PwlServer::start(Arc::clone(registry), serve_config(online));
     let wire = WireServer::start_local(server.handle(), WireConfig::default())
         .expect("bind ephemeral wire server");
     let conns: Vec<WireClient> = (0..clients)
@@ -362,6 +346,8 @@ fn main() {
         tuned_winner.ulp_at_1,
         tuned_winner.cycles_per_elem,
     );
+    // Record the workload outside every timed region.
+    workload_trace();
     println!("clients  design      Melem/s        mean         p50         p95         p99");
 
     let mut batched_vs_scalar_at_16 = None;

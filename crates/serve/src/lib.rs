@@ -10,9 +10,9 @@
 //! batch scale). This crate instead lets any number of clients submit
 //! `(function, tensor)` jobs to a [`ServeHandle`]; a batcher thread
 //! coalesces everything pending into **one contiguous buffer per
-//! function** — flushing on a size threshold or a deadline tick — a
-//! worker pool evaluates each buffer through the engine's slice-scatter
-//! entry point ([`flexsfu_core::CompiledPwl::eval_scatter_into`]), and
+//! function** — flushing whenever a worker is free, or on a size
+//! threshold — a worker pool evaluates each buffer through the engine's
+//! slice-scatter entry point ([`flexsfu_core::CompiledPwl::eval_scatter_into`]), and
 //! every job's result slice travels back over its own oneshot channel.
 //! Results are **bit-identical** to evaluating each tensor directly with
 //! the engine ([`flexsfu_core::PwlEvaluator::eval_batch`]).
@@ -40,10 +40,15 @@
 //!   units are per-function, so a flush never mixes backends either,
 //!   and each flush's modelled cycle/energy cost accumulates into
 //!   [`FunctionRegistry::backend_stats`].
-//! * **Per-function flush policies** — [`FunctionRegistry::set_policy`]
-//!   gives a function its own [`FlushPolicy`] (size threshold +
-//!   deadline); due functions flush alone, so tight-deadline functions
-//!   are not held back by throughput-oriented ones.
+//! * **Work-conserving, per-function flush policies** —
+//!   [`FunctionRegistry::set_policy`] gives a function its own
+//!   [`FlushPolicy`] (size threshold + deadline); due functions flush
+//!   alone, so tight-deadline functions are not held back by
+//!   throughput-oriented ones. A zero deadline (the [`ServeConfig`]
+//!   default) means "flush when a worker is free"; a nonzero one holds
+//!   jobs to coalesce them. A deadline-due flush waits for a free
+//!   worker while its jobs keep coalescing; size, queue-pressure and
+//!   shutdown flushes go out regardless.
 //! * **Drain and load hooks for the wire tier** —
 //!   [`PwlServer::begin_drain`] stops admissions without blocking (the
 //!   sharded deployment tier's handoff primitive — accepted jobs still

@@ -16,10 +16,22 @@
 //! [`ServeConfig`] defaults. A due function flushes alone; other
 //! functions' jobs stay queued until *their* policy fires, so a
 //! latency-critical function under a tight deadline is never held
-//! hostage by a throughput-oriented one. Each flush is planned with
-//! [`FlushPlan`], packed into one contiguous buffer per function, and
-//! handed to the workers with a snapshot of the function's **backend
-//! program** from the registry. Workers evaluate through
+//! hostage by a throughput-oriented one.
+//!
+//! Deadline flushes are **work-conserving**: a function whose deadline
+//! has passed flushes only once a worker is free (fewer units in flight
+//! than `eval_workers`); until then its jobs stay queued and keep
+//! coalescing instead of lining up behind busy workers. The default
+//! deadline is zero, so an idle worker takes whatever is pending at
+//! once, and under load a batch is whatever arrived during the previous
+//! flush. A nonzero deadline holds jobs to coalesce them. Size, queue
+//! pressure and shutdown flushes go out whether or not a worker is
+//! free.
+//!
+//! Each flush is planned with [`FlushPlan`], packed into one contiguous
+//! buffer per function, and handed to the workers with a snapshot of
+//! the function's **backend program** from the registry. Workers
+//! evaluate through
 //! [`flexsfu_backend::BackendProgram::eval_scatter_into`] (the native
 //! SIMD kernels, the SFU emulator, or any other bound backend — a unit
 //! never mixes backends because it never mixes functions), record the
@@ -41,6 +53,7 @@ use crate::testkit::Faults;
 use flexsfu_backend::{BackendProgram, BackendProgramF32};
 use flexsfu_obs::{SpanCell, Stage};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
@@ -48,7 +61,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// When one function's pending jobs flush: at `max_elems` pending
-/// elements, or when the oldest of them has waited `deadline`.
+/// elements, or when the oldest of them has waited `deadline` *and* a
+/// worker is free.
+///
+/// A zero deadline means "flush when a worker is free": an idle worker
+/// takes whatever is pending at once, a busy pool lets jobs coalesce
+/// until one frees up. A nonzero deadline holds jobs that long to
+/// coalesce them (e.g. to amortize an accelerator's pipeline fill),
+/// then likewise waits for a free worker. The size threshold flushes
+/// regardless of workers.
 ///
 /// Attached per function via
 /// [`crate::FunctionRegistry::set_policy`]; the server's [`ServeConfig`]
@@ -67,8 +88,9 @@ pub struct FlushPolicy {
     /// pending (the size threshold). Sized so a flush saturates the
     /// SIMD lanes without blowing the L2 working set.
     pub max_elems: usize,
-    /// Flush when the function's oldest pending job has waited this
-    /// long — bounds the function's tail latency under light traffic.
+    /// Flush once the function's oldest pending job has waited this
+    /// long and a worker is free. [`Duration::ZERO`] is work-conserving
+    /// (no hold at all); a nonzero value holds jobs to coalesce them.
     /// A deadline too large for the clock (e.g. [`Duration::MAX`])
     /// saturates to "never": the function then flushes only on size,
     /// queue pressure, or shutdown.
@@ -82,8 +104,11 @@ pub struct ServeConfig {
     /// as this many of *its* elements are pending. Overridable per
     /// function with [`crate::FunctionRegistry::set_policy`].
     pub flush_elements: usize,
-    /// Default per-function deadline: a function flushes when its
-    /// oldest pending job has waited this long.
+    /// Default per-function deadline: a function flushes once its
+    /// oldest pending job has waited this long and a worker is free.
+    /// The default, [`Duration::ZERO`], flushes whenever a worker is
+    /// free; a nonzero value holds jobs to coalesce them (see
+    /// [`FlushPolicy::deadline`]).
     pub flush_interval: Duration,
     /// Backpressure bound: the queue admits at most this many pending
     /// *elements* (a job larger than the whole bound is admitted alone
@@ -110,7 +135,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             flush_elements: 32_768,
-            flush_interval: Duration::from_micros(500),
+            flush_interval: Duration::ZERO,
             queue_elements: 131_072,
             eval_workers: 2,
         }
@@ -220,8 +245,13 @@ struct QueueState {
 /// The mutex/condvar trio the handle and batcher share.
 struct Shared {
     queue: Mutex<QueueState>,
-    /// Signalled on submit and shutdown; the batcher waits here.
+    /// Signalled on submit, shutdown and finished units; the batcher
+    /// waits here.
     job_ready: Condvar,
+    /// Flush units sent to the workers and not yet finished. A
+    /// deadline-due function flushes only while this is below
+    /// `eval_workers`.
+    busy_units: AtomicUsize,
     /// Signalled on flush and shutdown; blocked submitters wait here.
     space: Condvar,
     /// Test-only fault injector ([`crate::testkit::Faults`]); `None` in
@@ -394,6 +424,7 @@ impl PwlServer {
                 shutdown: false,
             }),
             job_ready: Condvar::new(),
+            busy_units: AtomicUsize::new(0),
             space: Condvar::new(),
             faults,
             obs: obs.as_ref().map(|o| Arc::new(ObsState::new(o))),
@@ -404,10 +435,10 @@ impl PwlServer {
         let workers = (0..config.eval_workers)
             .map(|i| {
                 let rx = Arc::clone(&unit_rx);
-                let faults = shared.faults.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("flexsfu-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, faults.as_deref()))
+                    .spawn(move || worker_loop(&rx, &shared))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -753,11 +784,11 @@ impl ServeHandle {
     }
 }
 
-/// The batcher: waits for any function's size threshold or deadline,
-/// drains exactly the due functions' jobs, plans/packs per-function
-/// units, and feeds the workers. Returns (dropping the unit sender,
-/// which ends the workers) once shutdown is set and the queue is fully
-/// drained.
+/// The batcher: waits for any function's size threshold, or for its
+/// deadline and a free worker, drains exactly the due functions' jobs,
+/// plans/packs per-function units, and feeds the workers. Returns
+/// (dropping the unit sender, which ends the workers) once shutdown is
+/// set and the queue is fully drained.
 ///
 /// Lock order: the queue mutex may be held while taking the registry's
 /// read lock (policy lookup); no code path acquires them in the other
@@ -787,6 +818,10 @@ fn batcher_loop(
         // and force a spurious policy-overriding flush later.
         let rejected_full = std::mem::take(&mut q.rejected_full);
         let force_all = q.shutdown || q.space_waiters > 0 || rejected_full;
+        // Work conservation: an expired deadline fires only into a free
+        // worker. Otherwise the jobs keep coalescing in the queue, and
+        // the finishing worker's `job_ready` signal re-runs this check.
+        let worker_free = shared.busy_units.load(Ordering::SeqCst) < cfg.eval_workers;
         let mut due: Vec<FunctionId> = Vec::new();
         let mut next_deadline: Option<Instant> = None;
         for (&func, pending) in &q.pending {
@@ -796,7 +831,8 @@ fn batcher_loop(
             // overflow `Instant` and panic the batcher.
             let deadline = pending.oldest.checked_add(policy.deadline);
             let fired_size = pending.elems >= policy.max_elems;
-            let fired_deadline = deadline.is_some_and(|d| now >= d);
+            let expired = deadline.is_some_and(|d| now >= d);
+            let fired_deadline = expired && worker_free;
             if force_all || fired_size || fired_deadline {
                 if let Some(obs) = &shared.obs {
                     // A function's own trigger takes precedence over the
@@ -815,7 +851,10 @@ fn batcher_loop(
                     reason.inc();
                 }
                 due.push(func);
-            } else if let Some(d) = deadline {
+            } else if let Some(d) = deadline.filter(|_| !expired) {
+                // A passed deadline waiting for a worker is left out, so
+                // the batcher sleeps until a unit finishes instead of
+                // spinning on a zero timeout.
                 next_deadline = Some(next_deadline.map_or(d, |nd: Instant| nd.min(d)));
             }
         }
@@ -844,7 +883,7 @@ fn batcher_loop(
             drop(q);
             shared.space.notify_all();
             if !drained.is_empty() {
-                dispatch_flush(drained, registry, unit_tx, shared.obs.as_ref());
+                dispatch_flush(drained, registry, unit_tx, shared);
             }
             q = shared.queue.lock().unwrap();
             continue;
@@ -856,8 +895,9 @@ fn batcher_loop(
                 let remaining = deadline.saturating_duration_since(now);
                 shared.job_ready.wait_timeout(q, remaining).unwrap().0
             }
-            // Jobs pending but no reachable deadline (every pending
-            // function has a never-expiring policy): re-check on a
+            // Jobs pending but no deadline ahead (every pending function
+            // has a never-expiring policy, or an expired one waiting for
+            // a worker, whose finish signals `job_ready`): re-check on a
             // coarse tick rather than parking forever, so a concurrent
             // `set_policy` tightening a deadline takes effect within a
             // tick instead of waiting for the next submission.
@@ -883,8 +923,9 @@ fn dispatch_flush(
     drained: Vec<Job>,
     registry: &FunctionRegistry,
     unit_tx: &mpsc::Sender<FlushUnit>,
-    obs: Option<&Arc<ObsState>>,
+    shared: &Shared,
 ) {
+    let obs = shared.obs.as_ref();
     /// A drained job awaiting one precision's flush plan: its function,
     /// its payload, the oneshot completing it, its enqueue instant, and
     /// its trace cell.
@@ -948,17 +989,15 @@ fn dispatch_flush(
         }
         // Workers gone (panicked) — nothing to do; senders drop and the
         // submitters observe `Disconnected`.
-        if unit_tx
-            .send(FlushUnit::F64 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs: unit_obs,
-            })
-            .is_err()
-        {
+        let unit = FlushUnit::F64 {
+            program,
+            stats,
+            histogram,
+            xs,
+            jobs,
+            obs: unit_obs,
+        };
+        if !send_unit(shared, unit_tx, unit) {
             return;
         }
     }
@@ -996,19 +1035,46 @@ fn dispatch_flush(
             u.state.flush_units.inc();
             u.state.flush_elems.record(group.total as u64);
         }
-        if unit_tx
-            .send(FlushUnit::F32 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs: unit_obs,
-            })
-            .is_err()
-        {
+        let unit = FlushUnit::F32 {
+            program,
+            stats,
+            histogram,
+            xs,
+            jobs,
+            obs: unit_obs,
+        };
+        if !send_unit(shared, unit_tx, unit) {
             return;
         }
+    }
+}
+
+/// Hands one unit to the workers, counting it busy until a worker
+/// finishes it ([`UnitDone`]). `false` when every worker is gone; the
+/// unit is then dropped uncounted.
+fn send_unit(shared: &Shared, unit_tx: &mpsc::Sender<FlushUnit>, unit: FlushUnit) -> bool {
+    shared.busy_units.fetch_add(1, Ordering::SeqCst);
+    if unit_tx.send(unit).is_err() {
+        shared.busy_units.fetch_sub(1, Ordering::SeqCst);
+        return false;
+    }
+    true
+}
+
+/// Marks one received unit finished when dropped — also when its
+/// evaluation panics, so a failed unit cannot hold deadline flushes back
+/// for good.
+struct UnitDone<'a>(&'a Shared);
+
+impl Drop for UnitDone<'_> {
+    fn drop(&mut self) {
+        self.0.busy_units.fetch_sub(1, Ordering::SeqCst);
+        // Signal under the queue lock: the batcher reads the count and
+        // parks on `job_ready` under that lock, so the wakeup cannot fall
+        // between the two. (A poisoned lock still serializes, and taking
+        // it without unwrapping cannot panic in drop.)
+        let _q = self.0.queue.lock();
+        self.0.job_ready.notify_one();
     }
 }
 
@@ -1029,14 +1095,17 @@ fn record_flush_obs(u: &UnitObs, eval_start_ns: u64, stats: &flexsfu_backend::Fl
 /// An evaluation worker: scatter-evaluates each unit's packed buffer
 /// through its backend program (in the unit's precision) straight into
 /// per-job result buffers, records the flush cost, and completes the
-/// oneshots.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, faults: Option<&Faults>) {
+/// oneshots. Each finished unit frees a worker slot for the batcher's
+/// deadline flushes.
+fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, shared: &Shared) {
+    let faults = shared.faults.as_deref();
     loop {
         // Hold the channel lock only for the dequeue, not the evaluation.
         let unit = match rx.lock().unwrap().recv() {
             Ok(u) => u,
             Err(_) => return, // batcher gone: shutdown complete
         };
+        let _done = UnitDone(shared);
         // Injected latency (testkit): widen the pending window so
         // out-of-order completion is observable deterministically.
         if let Some(delay) = faults.and_then(Faults::flush_delay) {

@@ -9,10 +9,12 @@
 
 use flexsfu_backend::{BackendProgram, SfuBackend};
 use flexsfu_core::init::uniform_pwl;
-use flexsfu_core::{CompiledPwl, PwlEvaluator, PwlFunction};
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, PwlEvaluator, PwlFunction};
 use flexsfu_funcs::{Gelu, Sigmoid, Tanh};
-use flexsfu_serve::testkit::with_watchdog;
-use flexsfu_serve::{FlushPolicy, FunctionRegistry, PwlServer, ServeConfig, ServeError};
+use flexsfu_serve::testkit::{with_watchdog, Faults};
+use flexsfu_serve::{
+    FlushPolicy, FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeError, ServeHandle,
+};
 use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -802,6 +804,133 @@ fn try_submit_rejection_forces_a_pressure_flush() {
             assert_bits_eq(&got, &want, &format!("try_submit job {i}"));
         }
     });
+}
+
+/// Runs the work-conserving scenario once: one eval worker, the default
+/// zero deadline, every unit held `delay` before it evaluates. Job A
+/// must drain alone at once; `N` jobs submitted while A's unit is busy
+/// must wait for the worker and go out together. `submit(handle, id,
+/// seed)` enqueues one job and returns its ticket and expected result;
+/// `check` waits for a ticket and bit-compares. Returns the function's
+/// flush count, or `None` when A finished before the others were all
+/// submitted (the host stalled longer than `delay`, so the run proved
+/// nothing).
+fn flushes_behind_a_busy_worker<T: std::future::Future + Unpin, W>(
+    delay: Duration,
+    submit: &impl Fn(&ServeHandle, FunctionId, u64) -> (T, W),
+    check: &impl Fn(T, W, &str),
+) -> Option<u64> {
+    const N: u64 = 12;
+    let functions = test_functions();
+    let registry = Arc::new(FunctionRegistry::new());
+    let id = registry.register("deep", &functions[1]);
+    let faults = Faults::new();
+    faults.delay_flushes(delay);
+    let server = PwlServer::start_with_faults(
+        Arc::clone(&registry),
+        ServeConfig {
+            eval_workers: 1,
+            ..ServeConfig::default()
+        },
+        faults,
+    );
+    let handle = server.handle();
+    let (mut a, a_want) = submit(&handle, id, 0);
+    // No deadline to wait out: the idle worker's flush takes A at once.
+    while handle.queue_depth().jobs > 0 {
+        thread::yield_now();
+    }
+    // Spaced out, so a batcher that flushed each arrival at once would
+    // send them as separate units; the gaps sum to well under `delay`.
+    let rest: Vec<(T, W)> = (1..=N)
+        .map(|k| {
+            thread::sleep(Duration::from_micros(500));
+            submit(&handle, id, k)
+        })
+        .collect();
+    let waker = flexsfu_serve::testkit::noop_waker();
+    let a_busy = std::pin::Pin::new(&mut a)
+        .poll(&mut std::task::Context::from_waker(&waker))
+        .is_pending();
+    if a_busy {
+        check(a, a_want, "job A");
+        for (k, (ticket, want)) in rest.into_iter().enumerate() {
+            check(ticket, want, &format!("coalesced job {k}"));
+        }
+    }
+    server.shutdown();
+    a_busy.then(|| registry.backend_stats(id).unwrap().flushes)
+}
+
+/// The coalescing contract for both precisions, retried with a longer
+/// flush delay if a host stall outlasted the first one.
+fn assert_busy_worker_coalesces<T: std::future::Future + Unpin, W>(
+    submit: impl Fn(&ServeHandle, FunctionId, u64) -> (T, W),
+    check: impl Fn(T, W, &str),
+) {
+    let flushes = [30, 120, 480]
+        .into_iter()
+        .find_map(|ms| flushes_behind_a_busy_worker(Duration::from_millis(ms), &submit, &check))
+        .expect("job A finished before the next jobs were submitted, even at a 480 ms delay");
+    assert_eq!(
+        flushes, 2,
+        "A alone, then everything that arrived while its unit was busy"
+    );
+}
+
+/// Work-conserving flushes: with the default zero deadline, a lone job
+/// flushes at once, and the jobs that arrive while the only worker is
+/// busy coalesce into exactly one more flush — no deadline involved.
+#[test]
+fn busy_worker_coalesces_pending_jobs_into_one_flush() {
+    with_watchdog(
+        60,
+        "busy_worker_coalesces_pending_jobs_into_one_flush",
+        || {
+            let deep = &test_functions()[1];
+            let engine = CompiledPwl::from_pwl(deep);
+            assert_busy_worker_coalesces(
+                |handle, id, seed| {
+                    let data = request_tensor(&mut rng(0xC0A1 + seed), deep, 1 + seed as usize * 5);
+                    let want = engine.eval_batch(&data);
+                    (handle.submit(id, data).unwrap(), want)
+                },
+                |ticket, want, ctx| assert_bits_eq(&ticket.wait().unwrap(), &want, ctx),
+            );
+        },
+    );
+}
+
+/// [`busy_worker_coalesces_pending_jobs_into_one_flush`] on the f32
+/// lane.
+#[test]
+fn busy_worker_coalesces_pending_f32_jobs_into_one_flush() {
+    with_watchdog(
+        60,
+        "busy_worker_coalesces_pending_f32_jobs_into_one_flush",
+        || {
+            let deep = &test_functions()[1];
+            let engine = CompiledPwlF32::from_compiled(&CompiledPwl::from_pwl(deep));
+            assert_busy_worker_coalesces(
+                |handle, id, seed| {
+                    let data: Vec<f32> =
+                        request_tensor(&mut rng(0xF32 + seed), deep, 1 + seed as usize * 5)
+                            .into_iter()
+                            .map(|x| x as f32)
+                            .collect();
+                    let want = engine.eval_batch(&data);
+                    (handle.submit_f32(id, data).unwrap(), want)
+                },
+                |ticket, want: Vec<f32>, ctx| {
+                    let got = ticket.wait().unwrap();
+                    assert_eq!(got.len(), want.len(), "{ctx}: length");
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{ctx}: element {i}");
+                    }
+                },
+            );
+        },
+    );
 }
 
 /// Submitting an unregistered id fails fast without touching the queue,

@@ -51,16 +51,19 @@ impl TunedPlan {
         self.table.num_breakpoints() + 1
     }
 
-    /// The flush policy derived for the winning datapath. Native
-    /// kernels batch at engine scale with a tight deadline; the SFU
-    /// path sizes its threshold so the per-flush pipeline fill latency
-    /// stays under 1% of streaming cycles (clamped to [1024, 16384]),
-    /// with a looser deadline to let those bigger flushes form.
+    /// The flush policy derived for the winning datapath. A zero
+    /// deadline is work-conserving (flush whenever a worker is free); a
+    /// nonzero one holds jobs that long to coalesce them. Native kernels
+    /// have no per-flush fill cost, so they flush at engine scale with a
+    /// zero deadline. The SFU path sizes its threshold so the per-flush
+    /// pipeline fill latency stays under 1% of streaming cycles (clamped
+    /// to [1024, 16384]), and holds jobs 500 µs so those bigger flushes
+    /// can form.
     pub fn flush_policy(&self) -> FlushPolicy {
         match self.winner().config.backend {
             BackendChoice::Native => FlushPolicy {
                 max_elems: 4096,
-                deadline: Duration::from_micros(200),
+                deadline: Duration::ZERO,
             },
             BackendChoice::Sfu { format } => {
                 let depth = self.segments().next_power_of_two().max(4);
@@ -230,6 +233,11 @@ mod tests {
         assert_eq!(native.winner().config.backend, BackendChoice::Native);
         let p = native.flush_policy();
         assert!(p.max_elems >= 1024);
+        assert_eq!(
+            p.deadline,
+            Duration::ZERO,
+            "native flushes are work-conserving"
+        );
 
         let mut sfu_only = TuneOptions::quick();
         sfu_only.space.include_native = false;
@@ -241,7 +249,11 @@ mod tests {
         let p = sfu.flush_policy();
         assert!((1024..=16384).contains(&p.max_elems));
         assert!(p.max_elems.is_power_of_two());
-        assert!(p.deadline >= Duration::from_micros(500));
+        assert_eq!(
+            p.deadline,
+            Duration::from_micros(500),
+            "the SFU path holds jobs to amortize pipeline fill"
+        );
     }
 
     #[test]

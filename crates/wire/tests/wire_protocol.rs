@@ -41,8 +41,9 @@ fn stack(config: &ServeConfig, faults: Option<Arc<Faults>>) -> Stack {
     }
 }
 
-/// A quick serving config: tiny flush deadline so tests are not gated
-/// on the 500µs default times many round trips.
+/// A small serving config: one worker, a 256-element threshold and a
+/// short 200 µs hold, so round trips stay quick while flushes still
+/// coalesce concurrent requests.
 fn quick_config() -> ServeConfig {
     ServeConfig {
         flush_elements: 256,
