@@ -8,7 +8,7 @@
 //! breakpoints plus per-segment slope/intercept) and *lowers* it into a
 //! backend-resident program; the program then batch-evaluates packed
 //! buffers through the same slice-scatter entry-point shape the serving
-//! layer already uses ([`CompiledPwl::eval_scatter_into`]), so a flush
+//! layer already uses ([`flexsfu_core::PwlEngine::eval_scatter_into`]), so a flush
 //! unit can be routed to any backend without repacking. Two backends
 //! ship:
 //!
@@ -74,7 +74,7 @@ mod sfu;
 pub use native::{NativeBackend, NativeProgram, NativeProgramF32};
 pub use sfu::{SfuBackend, SfuProgram};
 
-use flexsfu_core::{CompiledPwl, CompiledPwlF32};
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, Element};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -185,59 +185,39 @@ pub trait EvalBackend: Send + Sync {
     }
 }
 
-/// A lowered function, ready to batch-evaluate packed buffers.
+/// A lowered function, ready to batch-evaluate packed buffers of element
+/// type `T` (f64 unless named; f32 programs come from
+/// [`EvalBackend::lower_f32`] and never touch f64 — the packed flush
+/// buffer, the kernels and the scattered results are all f32).
 ///
 /// Programs are immutable from the caller's perspective and shared
 /// across the serving worker pool (`Send + Sync`); interior state (like
 /// the SFU emulator's single-ported memories) must synchronize
 /// internally.
-pub trait BackendProgram: Send + Sync {
+pub trait BackendProgram<T: Element = f64>: Send + Sync {
     /// The owning backend's [`EvalBackend::name`].
     fn backend_name(&self) -> &'static str;
 
     /// Evaluates the packed input `xs` and scatters results into the
     /// non-contiguous output slices, in order — the same contract as
-    /// [`CompiledPwl::eval_scatter_into`] — returning what the flush
-    /// cost.
+    /// [`flexsfu_core::PwlEngine::eval_scatter_into`] — returning what
+    /// the flush cost.
     ///
     /// # Panics
     ///
     /// Panics if the output lengths do not sum to `xs.len()`.
-    fn eval_scatter_into(&self, xs: &[f64], outs: &mut [&mut [f64]]) -> FlushStats;
+    fn eval_scatter_into(&self, xs: &[T], outs: &mut [&mut [T]]) -> FlushStats;
 
     /// Convenience: evaluates `xs` into a fresh contiguous `Vec`.
-    fn eval_batch(&self, xs: &[f64]) -> (Vec<f64>, FlushStats) {
-        let mut out = vec![0.0; xs.len()];
+    fn eval_batch(&self, xs: &[T]) -> (Vec<T>, FlushStats) {
+        let mut out = vec![T::default(); xs.len()];
         let stats = self.eval_scatter_into(xs, &mut [out.as_mut_slice()]);
         (out, stats)
     }
 }
 
-/// A lowered single-precision function — the f32 twin of
-/// [`BackendProgram`], produced by [`EvalBackend::lower_f32`]. A request
-/// evaluated through this trait never touches f64: the packed flush
-/// buffer, the kernels and the scattered results are all f32.
-///
-/// Same sharing contract as [`BackendProgram`]: programs are immutable
-/// to callers and shared across the serving worker pool.
-pub trait BackendProgramF32: Send + Sync {
-    /// The owning backend's [`EvalBackend::name`].
-    fn backend_name(&self) -> &'static str;
+/// The name [`EvalBackend::lower_f32`] returns single-precision programs
+/// under: every [`BackendProgram<f32>`] is one.
+pub trait BackendProgramF32: BackendProgram<f32> {}
 
-    /// Evaluates the packed f32 input and scatters results into the
-    /// non-contiguous output slices, in order — the same contract as
-    /// [`flexsfu_core::CompiledPwlF32::eval_scatter_into`] — returning
-    /// what the flush cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output lengths do not sum to `xs.len()`.
-    fn eval_scatter_into(&self, xs: &[f32], outs: &mut [&mut [f32]]) -> FlushStats;
-
-    /// Convenience: evaluates `xs` into a fresh contiguous `Vec`.
-    fn eval_batch(&self, xs: &[f32]) -> (Vec<f32>, FlushStats) {
-        let mut out = vec![0.0; xs.len()];
-        let stats = self.eval_scatter_into(xs, &mut [out.as_mut_slice()]);
-        (out, stats)
-    }
-}
+impl<P: BackendProgram<f32> + ?Sized> BackendProgramF32 for P {}

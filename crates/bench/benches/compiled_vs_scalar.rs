@@ -4,11 +4,12 @@
 //! 8 / 16 / 64-segment functions (the LTC depths the paper characterizes).
 //!
 //! Run with `cargo bench -p flexsfu-bench --bench compiled_vs_scalar`.
-//! The run finishes with a throughput summary asserting the speedup bars
-//! (SIMD over scalar, SIMD over the PR-1 batch path, and the f32 SIMD
-//! kernels over the f64 ones), so CI and PR trajectories get a number,
-//! not just timings. The `batch-f32`/`simd-f32` columns run the same
-//! tensor through [`CompiledPwlF32`].
+//! The run finishes with a throughput summary naming each table's
+//! dispatched kernel and asserting the speedup bars (SIMD over scalar,
+//! SIMD over the PR-1 batch path, and the f32 SIMD kernels over the f64
+//! ones) on the median of per-round ratios, so CI and PR trajectories get
+//! a number with its spread, not just timings. The `batch-f32`/`simd-f32`
+//! columns run the same tensor through [`CompiledPwlF32`].
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use flexsfu_core::init::uniform_pwl;
@@ -164,11 +165,65 @@ const F32_OVER_F64_TARGET: f64 = 1.8;
 /// that carries no floor.
 const SFU_EMU_ELEMENTS: usize = 1 << 16;
 
-/// Prints a Melem/s summary table and checks the three speedup bars at
-/// 1 M elements. Scalar/batch/simd/f32/parallel passes are interleaved
-/// across measurement rounds so slow-host drift hits them all alike; the
-/// `sfu-emu` column is the FP16 hardware-emulation backend measured once
-/// on a {SFU_EMU_ELEMENTS}-element slice — informational only (it is an
+/// Timed measurement rounds per table in the summary (after one
+/// warm-up round). Floors are asserted on the median of the per-round
+/// ratios, so one noisy round cannot flip them.
+const ROUNDS: usize = 9;
+
+/// Nearest-rank quantile of `v` (sorted in place).
+fn quantile(v: &mut [f64], q: f64) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[((v.len() - 1) as f64 * q).round() as usize]
+}
+
+/// A per-round ratio's median with its p10/p90 spread.
+struct Spread {
+    median: f64,
+    p10: f64,
+    p90: f64,
+}
+
+impl Spread {
+    fn of(mut v: Vec<f64>) -> Self {
+        Self {
+            median: quantile(&mut v, 0.5),
+            p10: quantile(&mut v, 0.1),
+            p90: quantile(&mut v, 0.9),
+        }
+    }
+}
+
+impl std::fmt::Display for Spread {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:.2}x [p10 {:.2}, p90 {:.2}]",
+            self.median, self.p10, self.p90
+        )
+    }
+}
+
+/// Asserts a median ratio against its floor (or, with
+/// `FLEXSFU_BENCH_STRICT=1`, its design target) and prints the status.
+fn check_floor(what: &str, ratio: &Spread, floor: f64, target: f64, below: &str) {
+    let strict = std::env::var("FLEXSFU_BENCH_STRICT").is_ok_and(|v| v == "1");
+    let bar = if strict { target } else { floor };
+    let status = if ratio.median >= target { "MET" } else { below };
+    println!("{target:.1}x {what} target at 64 segments: {status} (median {ratio})");
+    assert!(
+        ratio.median >= bar,
+        "{what} must be ≥ {bar:.1}x at 64 segments / 1M elements, measured median {ratio}"
+    );
+}
+
+/// Prints a Melem/s summary table with the kernel each table dispatches
+/// to, and checks the three speedup bars at 1 M elements.
+/// Scalar/batch/simd/f32/parallel passes are interleaved within each
+/// round so slow-host drift hits them all alike; throughputs are medians
+/// over the rounds, and each ratio is taken per round (both passes from
+/// the same round) and reported as median with p10/p90. The `sfu-emu`
+/// column is the FP16 hardware-emulation backend measured once on a
+/// {SFU_EMU_ELEMENTS}-element slice — informational only (it is an
 /// emulator, not a fast path; no floor applies).
 fn summary(_c: &mut Criterion) {
     use flexsfu_backend::{BackendProgram, SfuBackend};
@@ -177,12 +232,12 @@ fn summary(_c: &mut Criterion) {
     let mut out = vec![0.0; xs.len()];
     let mut out32 = vec![0.0f32; xs.len()];
     println!(
-        "\nthroughput at {N_ELEMENTS} elements (Melem/s, best of 5 interleaved rounds; \
+        "\nthroughput at {N_ELEMENTS} elements (Melem/s, median of {ROUNDS} interleaved rounds; \
          sfu-emu: one {SFU_EMU_ELEMENTS}-element pass, informational)"
     );
     println!(
         "segments  scalar  batch  simd  batch-f32  simd-f32  parallel  sfu-emu  \
-         simd/scalar  simd/batch  f32/f64"
+         kernel-f64       kernel-f32"
     );
     for segments in SEGMENTS {
         let pwl = function_with_segments(segments);
@@ -193,47 +248,39 @@ fn summary(_c: &mut Criterion) {
             .lower_program(&engine)
             .expect("bench tables fit their emulator depth");
 
-        let mut t_scalar = f64::INFINITY;
-        let mut t_batch = f64::INFINITY;
-        let mut t_simd = f64::INFINITY;
-        let mut t_batch32 = f64::INFINITY;
-        let mut t_simd32 = f64::INFINITY;
-        let mut t_par = f64::INFINITY;
-        // Warm-up round 0, then five timed interleaved rounds, best-of each.
-        for round in 0..6 {
+        // Per-round seconds: scalar, batch, simd, batch-f32, simd-f32,
+        // parallel. Round 0 is warm-up.
+        let mut times: Vec<[f64; 6]> = Vec::with_capacity(ROUNDS);
+        for round in 0..=ROUNDS {
+            let mut t = [0.0; 6];
             let start = Instant::now();
             for (&x, o) in xs.iter().zip(out.iter_mut()) {
                 *o = pwl.eval(black_box(x));
             }
-            let t = start.elapsed().as_secs_f64();
+            t[0] = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
             engine.eval_into_ref(black_box(&xs), &mut out);
-            let tb = start.elapsed().as_secs_f64();
+            t[1] = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
             engine.eval_into(black_box(&xs), &mut out);
-            let ts = start.elapsed().as_secs_f64();
+            t[2] = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
             engine32.eval_into_ref(black_box(&xs32), &mut out32);
-            let tb32 = start.elapsed().as_secs_f64();
+            t[3] = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
             engine32.eval_into(black_box(&xs32), &mut out32);
-            let ts32 = start.elapsed().as_secs_f64();
+            t[4] = start.elapsed().as_secs_f64();
 
             let start = Instant::now();
             par.eval_into(black_box(&xs), &mut out);
-            let tp = start.elapsed().as_secs_f64();
+            t[5] = start.elapsed().as_secs_f64();
 
             if round > 0 {
-                t_scalar = t_scalar.min(t);
-                t_batch = t_batch.min(tb);
-                t_simd = t_simd.min(ts);
-                t_batch32 = t_batch32.min(tb32);
-                t_simd32 = t_simd32.min(ts32);
-                t_par = t_par.min(tp);
+                times.push(t);
             }
         }
         black_box(out[0]);
@@ -246,20 +293,32 @@ fn summary(_c: &mut Criterion) {
         let t_emu = start.elapsed().as_secs_f64();
         black_box(emu_out[0]);
 
-        let melems = |t: f64| N_ELEMENTS as f64 / t / 1e6;
-        let simd_vs_scalar = t_scalar / t_simd;
-        let simd_vs_batch = t_batch / t_simd;
-        let f32_vs_f64 = t_simd / t_simd32;
+        let melems = |col: usize| {
+            let mut v: Vec<f64> = times
+                .iter()
+                .map(|t| N_ELEMENTS as f64 / t[col] / 1e6)
+                .collect();
+            quantile(&mut v, 0.5)
+        };
+        let ratio =
+            |num: usize, den: usize| Spread::of(times.iter().map(|t| t[num] / t[den]).collect());
         println!(
-            "{segments:>8}  {:>6.0}  {:>5.0}  {:>4.0}  {:>9.0}  {:>8.0}  {:>8.0}  {:>7.1}  \
-             {simd_vs_scalar:>10.2}x  {simd_vs_batch:>9.2}x  {f32_vs_f64:>6.2}x",
-            melems(t_scalar),
-            melems(t_batch),
-            melems(t_simd),
-            melems(t_batch32),
-            melems(t_simd32),
-            melems(t_par),
+            "{segments:>8}  {:>6.0}  {:>5.0}  {:>4.0}  {:>9.0}  {:>8.0}  {:>8.0}  {:>7.1}  {:<15}  {}",
+            melems(0),
+            melems(1),
+            melems(2),
+            melems(3),
+            melems(4),
+            melems(5),
             SFU_EMU_ELEMENTS as f64 / t_emu / 1e6,
+            engine.kernel_name(),
+            engine32.kernel_name(),
+        );
+        let simd_vs_scalar = ratio(0, 2);
+        let simd_vs_batch = ratio(1, 2);
+        let f32_vs_f64 = ratio(2, 4);
+        println!(
+            "          simd/scalar {simd_vs_scalar}  simd/batch {simd_vs_batch}  f32/f64 {f32_vs_f64}"
         );
         if segments == 64 {
             // Flaky-floor hygiene: on a host with a single online CPU the
@@ -274,64 +333,30 @@ fn summary(_c: &mut Criterion) {
             if online == 1 {
                 println!(
                     "single online CPU: skipping the {SPEEDUP_FLOOR:.1}x/{SIMD_OVER_BATCH_FLOOR:.1}x/\
-                     {F32_OVER_F64_FLOOR:.1}x speedup floors (measured {simd_vs_scalar:.2}x \
-                     simd/scalar, {simd_vs_batch:.2}x simd/batch, {f32_vs_f64:.2}x f32/f64 — \
-                     informational only)"
+                     {F32_OVER_F64_FLOOR:.1}x speedup floors (informational only)"
                 );
                 continue;
             }
-            let strict = std::env::var("FLEXSFU_BENCH_STRICT").is_ok_and(|v| v == "1");
-            let bar = if strict {
-                SPEEDUP_TARGET
-            } else {
-                SPEEDUP_FLOOR
-            };
-            let status = if simd_vs_scalar >= SPEEDUP_TARGET {
-                "MET"
-            } else {
-                "BELOW (expected only on constrained single-vCPU hosts)"
-            };
-            println!("{SPEEDUP_TARGET:.1}x design target at 64 segments: {status}");
-            assert!(
-                simd_vs_scalar >= bar,
-                "SIMD batch evaluation must be ≥ {bar:.1}x the scalar loop at 64 \
-                 segments / 1M elements, measured {simd_vs_scalar:.2}x"
+            check_floor(
+                "SIMD-over-scalar",
+                &simd_vs_scalar,
+                SPEEDUP_FLOOR,
+                SPEEDUP_TARGET,
+                "BELOW (expected only on constrained single-vCPU hosts)",
             );
-            let batch_bar = if strict {
-                SIMD_OVER_BATCH_TARGET
-            } else {
-                SIMD_OVER_BATCH_FLOOR
-            };
-            let batch_status = if simd_vs_batch >= SIMD_OVER_BATCH_TARGET {
-                "MET"
-            } else {
-                "BELOW (expected only under heavy host noise)"
-            };
-            println!(
-                "{SIMD_OVER_BATCH_TARGET:.1}x SIMD-over-batch target at 64 segments: {batch_status}"
+            check_floor(
+                "SIMD-over-batch",
+                &simd_vs_batch,
+                SIMD_OVER_BATCH_FLOOR,
+                SIMD_OVER_BATCH_TARGET,
+                "BELOW (expected only under heavy host noise)",
             );
-            assert!(
-                simd_vs_batch >= batch_bar,
-                "SIMD lane kernels must be ≥ {batch_bar:.1}x the PR-1 \
-                 batch path at 64 segments / 1M elements, measured {simd_vs_batch:.2}x"
-            );
-            let f32_bar = if strict {
-                F32_OVER_F64_TARGET
-            } else {
-                F32_OVER_F64_FLOOR
-            };
-            let f32_status = if f32_vs_f64 >= F32_OVER_F64_TARGET {
-                "MET"
-            } else {
-                "BELOW (expected only where the f64 path is memory-bound)"
-            };
-            println!(
-                "{F32_OVER_F64_TARGET:.1}x f32-over-f64 SIMD target at 64 segments: {f32_status}"
-            );
-            assert!(
-                f32_vs_f64 >= f32_bar,
-                "f32 SIMD kernels must be ≥ {f32_bar:.1}x the f64 SIMD kernels at 64 \
-                 segments / 1M elements, measured {f32_vs_f64:.2}x"
+            check_floor(
+                "f32-over-f64 SIMD",
+                &f32_vs_f64,
+                F32_OVER_F64_FLOOR,
+                F32_OVER_F64_TARGET,
+                "BELOW (expected only where the f64 path is memory-bound)",
             );
         }
     }

@@ -8,24 +8,12 @@
 //! engine's kernels are written against:
 //!
 //! * [`F64x4`] — four `f64` lanes (one 256-bit AVX2 register),
-//! * [`F32x8`] — eight `f32` lanes (the same register, single precision —
-//!   the lane type behind [`crate::CompiledPwlF32`]'s kernels).
+//! * [`F32x8`] — eight `f32` lanes (the same register, single precision).
 //!
-//! # The 32-byte f32 bucket line
-//!
-//! The f64 engine's deep-table fast path rests on the measured-window
-//! argument: the bucket index is built by classifying every breakpoint
-//! with the *eval-time* bucket map, so when the measured window is ≤ 2,
-//! `seed + (bp(seed) < x) + (bp(seed+1) < x)` is exactly the breakpoint
-//! count — and a 64-byte `BucketLine` can fuse the one comparison
-//! breakpoint, the seed and both candidate coefficient triples into a
-//! single cache line. The f32 engine's `BucketLineF32` is the same
-//! proof at half the width: the classification runs in the f32 bucket
-//! map over the f32-rounded breakpoints, so the `window ≤ 2` guarantee
-//! holds for the rounded table by construction (not by assuming f64
-//! conclusions survive rounding), and the fused line shrinks to 32
-//! bytes — `[bp(seed), seed, aₓ(s), a_y(s), m(s), aₓ(s+1), a_y(s+1),
-//! m(s+1)]` as eight `f32`s, half the cache traffic per element.
+//! Both implement [`Lanes`] (with [`LaneMask`] for their comparison
+//! masks), the one interface the engine's portable kernels are written
+//! against: each [`crate::Element`] names its lane type, so one generic
+//! kernel source serves both precisions.
 //!
 //! # Why arrays and not intrinsics?
 //!
@@ -36,7 +24,7 @@
 //! hot kernels twice — once for the baseline target and once under
 //! `#[target_feature(enable = "avx2")]`, selected at runtime — so the
 //! packed form is actually emitted on the machines that matter without a
-//! single platform intrinsic in the source. (The engines' AVX-512
+//! single platform intrinsic in the source. (The engine's AVX-512
 //! kernels are the one exception — hardware gathers have no
 //! autovectorized spelling.) Comparisons produce explicit all-ones/all-zeros
 //! [`M64x4`]/[`M32x8`] bitmasks and selection is a float-domain blend,
@@ -54,13 +42,13 @@
 //! loop would, in the same order, with no fused multiply-add contraction —
 //! so kernels built from these types stay bit-identical to their scalar
 //! references. NaN behaves exactly as in scalar code: comparisons with a
-//! NaN lane are false and [`F64x4::is_nan`] exposes the usual `x != x`
+//! NaN lane are false and [`Lanes::is_nan`] exposes the usual `x != x`
 //! test as a mask.
 //!
 //! # Examples
 //!
 //! ```
-//! use flexsfu_core::simd::F64x4;
+//! use flexsfu_core::simd::{F64x4, LaneMask, Lanes};
 //!
 //! let x = F64x4::from_array([1.0, -2.0, f64::NAN, 8.0]);
 //! let threshold = F64x4::splat(0.0);
@@ -71,10 +59,61 @@
 //! assert!(y.to_array()[2].is_nan() || y.to_array()[2] == 0.0);
 //! ```
 
-/// Number of `f64` lanes in [`F64x4`].
-pub const F64_LANES: usize = 4;
-/// Number of `f32` lanes in [`F32x8`].
-pub const F32_LANES: usize = 8;
+use std::ops::{Add, Mul, Sub};
+
+/// A fixed-width vector of float lanes: the operations the engine's
+/// portable kernels use, with per-lane IEEE semantics.
+pub trait Lanes: Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> {
+    /// The scalar type of one lane.
+    type Elem: Copy;
+    /// The per-lane comparison mask.
+    type Mask: LaneMask<Self>;
+    /// Number of lanes.
+    const LANES: usize;
+
+    /// All lanes set to `v`.
+    fn splat(v: Self::Elem) -> Self;
+
+    /// Loads the first `LANES` elements of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is shorter than the lane count.
+    fn from_slice(s: &[Self::Elem]) -> Self;
+
+    /// Stores the lanes into the first `LANES` elements of `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than the lane count.
+    fn write_to(self, out: &mut [Self::Elem]);
+
+    /// Per-lane `self < rhs` as an all-ones/all-zeros mask.
+    /// Lanes comparing against NaN are false (all-zeros).
+    fn lt(self, rhs: Self) -> Self::Mask;
+
+    /// Per-lane `self <= rhs` mask (false on NaN).
+    fn le(self, rhs: Self) -> Self::Mask;
+
+    /// Per-lane `self >= rhs` mask (false on NaN).
+    fn ge(self, rhs: Self) -> Self::Mask;
+
+    /// Per-lane NaN test (`x != x`) as a mask.
+    fn is_nan(self) -> Self::Mask;
+}
+
+/// A per-lane all-ones/all-zeros mask over the lanes of `V`.
+pub trait LaneMask<V>: Copy {
+    /// Per-lane blend: the lane from `t` where the mask is set, from `f`
+    /// otherwise — the float-domain select the hardware's `blendv`
+    /// executes. NaN payloads pass through unchanged.
+    fn select(self, t: V, f: V) -> V;
+
+    /// Per-lane `1.0` where set, `0.0` where clear (a packed compare +
+    /// AND with the constant `1.0`), so branchless counting is
+    /// `acc + mask.ones()`.
+    fn ones(self) -> V;
+}
 
 macro_rules! lane_type {
     (
@@ -93,24 +132,6 @@ macro_rules! lane_type {
         pub struct $mask(pub [$bits; $lanes]);
 
         impl $vec {
-            /// All lanes set to `v`.
-            #[inline(always)]
-            pub fn splat(v: $elem) -> Self {
-                Self([v; $lanes])
-            }
-
-            /// Loads the first `LANES` elements of `s`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `s` is shorter than the lane count.
-            #[inline(always)]
-            pub fn from_slice(s: &[$elem]) -> Self {
-                let mut a = [0.0; $lanes];
-                a.copy_from_slice(&s[..$lanes]);
-                Self(a)
-            }
-
             /// Wraps an array of lanes.
             #[inline(always)]
             pub fn from_array(a: [$elem; $lanes]) -> Self {
@@ -123,21 +144,42 @@ macro_rules! lane_type {
                 self.0
             }
 
-            /// Stores the lanes into the first `LANES` elements of `out`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `out` is shorter than the lane count.
+            // `core::simd`-backed view for the nightly-only `std-simd`
+            // feature: identical results (same IEEE operations per lane),
+            // but vector lowering is guaranteed by the portable-SIMD
+            // backend instead of arranged for via the autovectorizer.
+            #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn write_to(self, out: &mut [$elem]) {
+            fn s(self) -> core::simd::$simd {
+                core::simd::$simd::from_array(self.0)
+            }
+        }
+
+        impl Lanes for $vec {
+            type Elem = $elem;
+            type Mask = $mask;
+            const LANES: usize = $lanes;
+
+            #[inline(always)]
+            fn splat(v: $elem) -> Self {
+                Self([v; $lanes])
+            }
+
+            #[inline(always)]
+            fn from_slice(s: &[$elem]) -> Self {
+                let mut a = [0.0; $lanes];
+                a.copy_from_slice(&s[..$lanes]);
+                Self(a)
+            }
+
+            #[inline(always)]
+            fn write_to(self, out: &mut [$elem]) {
                 out[..$lanes].copy_from_slice(&self.0);
             }
 
-            /// Per-lane `self < rhs` as an all-ones/all-zeros mask.
-            /// Lanes comparing against NaN are false (all-zeros).
             #[cfg(not(feature = "std-simd"))]
             #[inline(always)]
-            pub fn lt(self, rhs: Self) -> $mask {
+            fn lt(self, rhs: Self) -> $mask {
                 let mut m = [0; $lanes];
                 for i in 0..$lanes {
                     m[i] = ((self.0[i] < rhs.0[i]) as $bits).wrapping_neg();
@@ -145,10 +187,9 @@ macro_rules! lane_type {
                 $mask(m)
             }
 
-            /// Per-lane `self <= rhs` mask (false on NaN).
             #[cfg(not(feature = "std-simd"))]
             #[inline(always)]
-            pub fn le(self, rhs: Self) -> $mask {
+            fn le(self, rhs: Self) -> $mask {
                 let mut m = [0; $lanes];
                 for i in 0..$lanes {
                     m[i] = ((self.0[i] <= rhs.0[i]) as $bits).wrapping_neg();
@@ -156,10 +197,9 @@ macro_rules! lane_type {
                 $mask(m)
             }
 
-            /// Per-lane `self >= rhs` mask (false on NaN).
             #[cfg(not(feature = "std-simd"))]
             #[inline(always)]
-            pub fn ge(self, rhs: Self) -> $mask {
+            fn ge(self, rhs: Self) -> $mask {
                 let mut m = [0; $lanes];
                 for i in 0..$lanes {
                     m[i] = ((self.0[i] >= rhs.0[i]) as $bits).wrapping_neg();
@@ -167,10 +207,9 @@ macro_rules! lane_type {
                 $mask(m)
             }
 
-            /// Per-lane NaN test (`x != x`) as a mask.
             #[cfg(not(feature = "std-simd"))]
             #[inline(always)]
-            pub fn is_nan(self) -> $mask {
+            fn is_nan(self) -> $mask {
                 let mut m = [0; $lanes];
                 for i in 0..$lanes {
                     #[allow(clippy::eq_op)]
@@ -180,51 +219,38 @@ macro_rules! lane_type {
                 }
                 $mask(m)
             }
-        }
 
-        // `core::simd`-backed bodies, selected by the nightly-only
-        // `std-simd` feature: identical results (same IEEE operations per
-        // lane), but vector lowering is guaranteed by the portable-SIMD
-        // backend instead of arranged for via the autovectorizer.
-        #[cfg(feature = "std-simd")]
-        impl $vec {
+            #[cfg(feature = "std-simd")]
             #[inline(always)]
-            fn s(self) -> core::simd::$simd {
-                core::simd::$simd::from_array(self.0)
-            }
-
-            /// Per-lane `self < rhs` as an all-ones/all-zeros mask.
-            /// Lanes comparing against NaN are false (all-zeros).
-            #[inline(always)]
-            pub fn lt(self, rhs: Self) -> $mask {
+            fn lt(self, rhs: Self) -> $mask {
                 use core::simd::cmp::SimdPartialOrd;
                 $mask(self.s().simd_lt(rhs.s()).to_array().map(|b| (b as $bits).wrapping_neg()))
             }
 
-            /// Per-lane `self <= rhs` mask (false on NaN).
+            #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn le(self, rhs: Self) -> $mask {
+            fn le(self, rhs: Self) -> $mask {
                 use core::simd::cmp::SimdPartialOrd;
                 $mask(self.s().simd_le(rhs.s()).to_array().map(|b| (b as $bits).wrapping_neg()))
             }
 
-            /// Per-lane `self >= rhs` mask (false on NaN).
+            #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn ge(self, rhs: Self) -> $mask {
+            fn ge(self, rhs: Self) -> $mask {
                 use core::simd::cmp::SimdPartialOrd;
                 $mask(self.s().simd_ge(rhs.s()).to_array().map(|b| (b as $bits).wrapping_neg()))
             }
 
-            /// Per-lane NaN test (`x != x`) as a mask.
+            #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn is_nan(self) -> $mask {
+            fn is_nan(self) -> $mask {
                 use core::simd::num::SimdFloat;
                 $mask(self.s().is_nan().to_array().map(|b| (b as $bits).wrapping_neg()))
             }
         }
 
         #[cfg(not(feature = "std-simd"))]
-        impl std::ops::Add for $vec {
+        impl Add for $vec {
             type Output = Self;
             #[inline(always)]
             fn add(self, rhs: Self) -> Self {
@@ -237,7 +263,7 @@ macro_rules! lane_type {
         }
 
         #[cfg(not(feature = "std-simd"))]
-        impl std::ops::Sub for $vec {
+        impl Sub for $vec {
             type Output = Self;
             #[inline(always)]
             fn sub(self, rhs: Self) -> Self {
@@ -250,7 +276,7 @@ macro_rules! lane_type {
         }
 
         #[cfg(not(feature = "std-simd"))]
-        impl std::ops::Mul for $vec {
+        impl Mul for $vec {
             type Output = Self;
             #[inline(always)]
             fn mul(self, rhs: Self) -> Self {
@@ -263,7 +289,7 @@ macro_rules! lane_type {
         }
 
         #[cfg(feature = "std-simd")]
-        impl std::ops::Add for $vec {
+        impl Add for $vec {
             type Output = Self;
             #[inline(always)]
             fn add(self, rhs: Self) -> Self {
@@ -272,7 +298,7 @@ macro_rules! lane_type {
         }
 
         #[cfg(feature = "std-simd")]
-        impl std::ops::Sub for $vec {
+        impl Sub for $vec {
             type Output = Self;
             #[inline(always)]
             fn sub(self, rhs: Self) -> Self {
@@ -281,7 +307,7 @@ macro_rules! lane_type {
         }
 
         #[cfg(feature = "std-simd")]
-        impl std::ops::Mul for $vec {
+        impl Mul for $vec {
             type Output = Self;
             #[inline(always)]
             fn mul(self, rhs: Self) -> Self {
@@ -290,36 +316,14 @@ macro_rules! lane_type {
         }
 
         impl $mask {
-            /// Per-lane blend: the lane from `t` where the mask is set,
-            /// from `f` otherwise — the float-domain select the hardware's
-            /// `blendv` executes. NaN payloads pass through unchanged.
-            ///
-            /// The body is a per-lane conditional on purpose: the backend
-            /// folds `mask != 0` back into the comparison that produced
-            /// the mask and emits a packed compare + blend, whereas an
-            /// explicit bitwise `(m & t) | (!m & f)` would drag the lanes
-            /// through integer registers and scalarize the whole kernel.
-            #[cfg(not(feature = "std-simd"))]
+            /// Whether any lane is set.
             #[inline(always)]
-            pub fn select(self, t: $vec, f: $vec) -> $vec {
-                let mut o = [0.0; $lanes];
+            pub fn any(self) -> bool {
+                let mut acc = 0;
                 for i in 0..$lanes {
-                    o[i] = if self.0[i] != 0 { t.0[i] } else { f.0[i] };
+                    acc |= self.0[i];
                 }
-                $vec(o)
-            }
-
-            /// Per-lane `1.0` where set, `0.0` where clear (a packed
-            /// compare + AND with the constant `1.0`), so branchless
-            /// counting is `acc + mask.ones()`.
-            #[cfg(not(feature = "std-simd"))]
-            #[inline(always)]
-            pub fn ones(self) -> $vec {
-                let mut o = [0.0; $lanes];
-                for i in 0..$lanes {
-                    o[i] = if self.0[i] != 0 { 1.0 } else { 0.0 };
-                }
-                $vec(o)
+                acc != 0
             }
 
             /// The `core::simd` mask this bit-pattern encodes (lanes are
@@ -329,36 +333,49 @@ macro_rules! lane_type {
             fn m(self) -> core::simd::Mask<$ibits, $lanes> {
                 core::simd::Mask::from_array(self.0.map(|b| b != 0))
             }
+        }
 
-            /// Per-lane blend: the lane from `t` where the mask is set,
-            /// from `f` otherwise. NaN payloads pass through unchanged.
+        impl LaneMask<$vec> for $mask {
+            // The body is a per-lane conditional on purpose: the backend
+            // folds `mask != 0` back into the comparison that produced
+            // the mask and emits a packed compare + blend, whereas an
+            // explicit bitwise `(m & t) | (!m & f)` would drag the lanes
+            // through integer registers and scalarize the whole kernel.
+            #[cfg(not(feature = "std-simd"))]
+            #[inline(always)]
+            fn select(self, t: $vec, f: $vec) -> $vec {
+                let mut o = [0.0; $lanes];
+                for i in 0..$lanes {
+                    o[i] = if self.0[i] != 0 { t.0[i] } else { f.0[i] };
+                }
+                $vec(o)
+            }
+
+            #[cfg(not(feature = "std-simd"))]
+            #[inline(always)]
+            fn ones(self) -> $vec {
+                let mut o = [0.0; $lanes];
+                for i in 0..$lanes {
+                    o[i] = if self.0[i] != 0 { 1.0 } else { 0.0 };
+                }
+                $vec(o)
+            }
+
             #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn select(self, t: $vec, f: $vec) -> $vec {
+            fn select(self, t: $vec, f: $vec) -> $vec {
                 use core::simd::Select;
                 $vec(self.m().select(t.s(), f.s()).to_array())
             }
 
-            /// Per-lane `1.0` where set, `0.0` where clear, so branchless
-            /// counting is `acc + mask.ones()`.
             #[cfg(feature = "std-simd")]
             #[inline(always)]
-            pub fn ones(self) -> $vec {
+            fn ones(self) -> $vec {
                 use core::simd::Select;
                 $vec(self
                     .m()
                     .select(core::simd::$simd::splat(1.0), core::simd::$simd::splat(0.0))
                     .to_array())
-            }
-
-            /// Whether any lane is set.
-            #[inline(always)]
-            pub fn any(self) -> bool {
-                let mut acc = 0;
-                for i in 0..$lanes {
-                    acc |= self.0[i];
-                }
-                acc != 0
             }
         }
     };

@@ -3,9 +3,25 @@
 //! to `PwlFunction::eval` — and to the PR-1 batch path `eval_into_ref` —
 //! across NaN, ±∞, inputs exactly on breakpoints, and slices whose length
 //! is not a multiple of any lane width, on every kernel (linear-scan,
-//! bucket, search fallback).
+//! bucket, search fallback) and every ISA tier the host runs (portable,
+//! AVX2, AVX-512) — not only the one dispatch picks.
 
-use flexsfu_core::{CompiledPwl, CompiledPwlF32, PwlEvaluator, PwlFunction};
+use flexsfu_core::{
+    CompiledPwl, CompiledPwlF32, Element, Isa, PwlEngine, PwlEvaluator, PwlFunction,
+};
+
+/// Evaluates `xs` through `eval_into` and then through every ISA tier
+/// this host supports, handing each output to `check` with its label.
+fn for_every_tier<T: Element>(engine: &PwlEngine<T>, xs: &[T], mut check: impl FnMut(&str, &[T])) {
+    let mut out = vec![T::default(); xs.len()];
+    engine.eval_into(xs, &mut out);
+    check("eval_into", &out);
+    for isa in Isa::ALL {
+        if let Some(kernel) = engine.eval_on(isa, xs, &mut out, None) {
+            check(kernel.name(), &out);
+        }
+    }
+}
 
 /// Segment counts that exercise every kernel: ≤ 8 segments take the
 /// linear-scan path, larger tables the bucket path, and the clustered
@@ -87,23 +103,19 @@ fn adversarial_inputs(pwl: &PwlFunction) -> Vec<f64> {
 
 fn assert_bitwise_parity(pwl: &PwlFunction, xs: &[f64], label: &str) {
     let engine = CompiledPwl::from_pwl(pwl);
-    let mut simd = vec![0.0; xs.len()];
+    let check = |path: &str, got: &[f64]| {
+        for (i, (&x, &y)) in xs.iter().zip(got).enumerate() {
+            assert_eq!(
+                y.to_bits(),
+                pwl.eval(x).to_bits(),
+                "{label}: {path} vs scalar at x = {x:?} (index {i})"
+            );
+        }
+    };
     let mut reference = vec![0.0; xs.len()];
-    engine.eval_into(xs, &mut simd);
     engine.eval_into_ref(xs, &mut reference);
-    for (i, &x) in xs.iter().enumerate() {
-        let want = pwl.eval(x).to_bits();
-        assert_eq!(
-            simd[i].to_bits(),
-            want,
-            "{label}: eval_into vs scalar at x = {x:?} (index {i})"
-        );
-        assert_eq!(
-            reference[i].to_bits(),
-            want,
-            "{label}: eval_into_ref vs scalar at x = {x:?} (index {i})"
-        );
-    }
+    check("eval_into_ref", &reference);
+    for_every_tier(&engine, xs, check);
 }
 
 #[test]
@@ -131,15 +143,15 @@ fn remainder_lengths_are_bit_identical() {
         for len in 0..=67 {
             for offset in [0usize, 1, 3] {
                 let slice = &xs[offset..offset + len];
-                let mut out = vec![0.0; len];
-                engine.eval_into(slice, &mut out);
-                for (&x, &y) in slice.iter().zip(&out) {
-                    assert_eq!(
-                        y.to_bits(),
-                        pwl.eval(x).to_bits(),
-                        "{segments} segments, len {len}, offset {offset}, x = {x:?}"
-                    );
-                }
+                for_every_tier(&engine, slice, |path, out| {
+                    for (&x, &y) in slice.iter().zip(out) {
+                        assert_eq!(
+                            y.to_bits(),
+                            pwl.eval(x).to_bits(),
+                            "{segments} segments, {path}, len {len}, offset {offset}, x = {x:?}"
+                        );
+                    }
+                });
             }
         }
     }
@@ -324,23 +336,19 @@ fn assert_bitwise_parity_f32(pwl: &PwlFunction, label: &str) {
         CompiledPwlF32::from_compiled(&CompiledPwl::from_pwl(pwl)),
     ] {
         let xs = adversarial_inputs_f32(pwl, &engine);
-        let mut simd = vec![0.0f32; xs.len()];
+        let check = |path: &str, got: &[f32]| {
+            for (i, (&x, &y)) in xs.iter().zip(got).enumerate() {
+                assert_eq!(
+                    y.to_bits(),
+                    engine.eval_one(x).to_bits(),
+                    "{label}: f32 {path} vs eval_one at x = {x:?} (index {i})"
+                );
+            }
+        };
         let mut reference = vec![0.0f32; xs.len()];
-        engine.eval_into(&xs, &mut simd);
         engine.eval_into_ref(&xs, &mut reference);
-        for (i, &x) in xs.iter().enumerate() {
-            let want = engine.eval_one(x).to_bits();
-            assert_eq!(
-                simd[i].to_bits(),
-                want,
-                "{label}: f32 eval_into vs eval_one at x = {x:?} (index {i})"
-            );
-            assert_eq!(
-                reference[i].to_bits(),
-                want,
-                "{label}: f32 eval_into_ref vs eval_one at x = {x:?} (index {i})"
-            );
-        }
+        check("eval_into_ref", &reference);
+        for_every_tier(&engine, &xs, check);
     }
 }
 
@@ -365,15 +373,15 @@ fn f32_remainder_lengths_are_bit_identical() {
         for len in 0..=67 {
             for offset in [0usize, 1, 3] {
                 let slice = &xs[offset..offset + len];
-                let mut out = vec![0.0f32; len];
-                engine.eval_into(slice, &mut out);
-                for (&x, &y) in slice.iter().zip(&out) {
-                    assert_eq!(
-                        y.to_bits(),
-                        engine.eval_one(x).to_bits(),
-                        "{segments} segments, len {len}, offset {offset}, x = {x:?}"
-                    );
-                }
+                for_every_tier(&engine, slice, |path, out| {
+                    for (&x, &y) in slice.iter().zip(out) {
+                        assert_eq!(
+                            y.to_bits(),
+                            engine.eval_one(x).to_bits(),
+                            "{segments} segments, {path}, len {len}, offset {offset}, x = {x:?}"
+                        );
+                    }
+                });
             }
         }
     }

@@ -70,7 +70,7 @@
 //! * **A single-precision job lane** — [`ServeHandle::submit_f32`]
 //!   serves `Vec<f32>` tensors end to end in f32: the packed flush
 //!   buffer, the backend's f32 program
-//!   ([`flexsfu_backend::BackendProgramF32`], the eight-wide f32
+//!   ([`flexsfu_backend::BackendProgram<f32>`], the eight-wide f32
 //!   kernels on the native backend) and the scattered results never
 //!   touch f64, and the scatter-back is bit-identical to evaluating
 //!   the tensor directly with [`FunctionRegistry::engine_f32`]. Both

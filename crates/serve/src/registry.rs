@@ -22,8 +22,8 @@
 //! counters, readable via [`FunctionRegistry::backend_stats`].
 
 use crate::histogram::{HistogramAccum, InputHistogramSnapshot, INPUT_HIST_BUCKETS};
-use crate::server::FlushPolicy;
-use flexsfu_backend::{BackendProgram, BackendProgramF32, EvalBackend, FlushStats, NativeBackend};
+use crate::server::{FlushPolicy, Precision};
+use flexsfu_backend::{BackendProgram, EvalBackend, FlushStats, NativeBackend};
 use flexsfu_core::{CompiledPwl, CompiledPwlF32, ParallelPwl, ParallelPwlF32, PwlFunction};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -67,21 +67,12 @@ impl StatsAccumulator {
     }
 }
 
-struct Entry {
+pub(crate) struct Entry {
     name: String,
-    /// The native threaded engine — always available as the software
-    /// reference, whatever backend serves traffic.
-    engine: Arc<ParallelPwl>,
-    /// The single-precision twin, compiled from the same table — the
-    /// direct-eval reference for f32 jobs, always available even when
-    /// the bound backend has no f32 lane.
-    engine_f32: Arc<ParallelPwlF32>,
     backend: Arc<dyn EvalBackend>,
-    program: Arc<dyn BackendProgram>,
-    /// The backend's f32 lowering of the same table, or `None` when the
-    /// backend has no f32 lane — f32 submissions then fail with
-    /// [`crate::ServeError::PrecisionUnsupported`].
-    program_f32: Option<Arc<dyn BackendProgramF32>>,
+    /// The engines and programs of the current table; swapped whole by
+    /// [`FunctionRegistry::publish`].
+    pub(crate) bound: Bound,
     policy: Option<FlushPolicy>,
     stats: Arc<StatsAccumulator>,
     /// Streaming histogram of the raw inputs this function's flushes
@@ -94,11 +85,19 @@ struct Entry {
 
 /// The engine/program pairs of one binding, both precisions — what
 /// [`bind`] produces and [`FunctionRegistry::publish`] swaps in.
-struct Bound {
+pub(crate) struct Bound {
+    /// The native threaded engine — always available as the software
+    /// reference, whatever backend serves traffic.
     engine: Arc<ParallelPwl>,
+    /// The single-precision twin, compiled from the same table — the
+    /// direct-eval reference for f32 jobs, always available even when
+    /// the bound backend has no f32 lane.
     engine_f32: Arc<ParallelPwlF32>,
-    program: Arc<dyn BackendProgram>,
-    program_f32: Option<Arc<dyn BackendProgramF32>>,
+    pub(crate) program: Arc<dyn BackendProgram>,
+    /// The backend's f32 lowering of the same table, or `None` when the
+    /// backend has no f32 lane — f32 submissions then fail with
+    /// [`crate::ServeError::PrecisionUnsupported`].
+    pub(crate) program_f32: Option<Arc<dyn BackendProgram<f32>>>,
 }
 
 /// A concurrently readable, hot-swappable table of compiled engines with
@@ -139,7 +138,9 @@ fn bind(backend: &Arc<dyn EvalBackend>, engine: CompiledPwl) -> Result<Bound, cr
         .lower(&engine)
         .map_err(crate::ServeError::LowerFailed)?;
     let engine_f32 = CompiledPwlF32::from_compiled(&engine);
-    let program_f32 = backend.lower_f32(&engine_f32);
+    let program_f32 = backend
+        .lower_f32(&engine_f32)
+        .map(|p| p as Arc<dyn BackendProgram<f32>>);
     Ok(Bound {
         engine: Arc::new(ParallelPwl::new(engine)),
         engine_f32: Arc::new(ParallelPwlF32::new(engine_f32)),
@@ -251,11 +252,8 @@ impl FunctionRegistry {
         let id = FunctionId(entries.len() as u32);
         entries.push(Entry {
             name: name.into(),
-            engine: bound.engine,
-            engine_f32: bound.engine_f32,
             backend,
-            program: bound.program,
-            program_f32: bound.program_f32,
+            bound,
             policy,
             stats: Arc::new(StatsAccumulator::default()),
             histogram: Arc::new(HistogramAccum::new(hist_lo, hist_hi, INPUT_HIST_BUCKETS)),
@@ -295,17 +293,14 @@ impl FunctionRegistry {
             .map(|e| Arc::clone(&e.backend))
             .ok_or(crate::ServeError::UnknownFunction(id))?;
         let bound = bind(&backend, engine)?;
-        // The write lock is now held only for the pointer swaps; all
-        // four fields swap under one lock, so a flush snapshot never
-        // sees a torn engine/program pair — in either precision.
+        // The write lock is now held only for the swap; the whole binding
+        // swaps under one lock, so a flush snapshot never sees a torn
+        // engine/program pair — in either precision.
         let mut entries = self.entries.write().unwrap();
         let entry = entries
             .get_mut(id.0 as usize)
             .ok_or(crate::ServeError::UnknownFunction(id))?;
-        entry.program = bound.program;
-        entry.program_f32 = bound.program_f32;
-        entry.engine_f32 = bound.engine_f32;
-        Ok(std::mem::replace(&mut entry.engine, bound.engine))
+        Ok(std::mem::replace(&mut entry.bound, bound).engine)
     }
 
     /// The current native engine for `id`, or `None` if unregistered.
@@ -316,42 +311,21 @@ impl FunctionRegistry {
             .read()
             .unwrap()
             .get(id.0 as usize)
-            .map(|e| Arc::clone(&e.engine))
+            .map(|e| Arc::clone(&e.bound.engine))
     }
 
-    /// Snapshot of the backend program, stats sink and input-histogram
-    /// sink for `id` — what a flush unit carries. Like [`Self::engine`],
-    /// the snapshot is unaffected by later publishes.
+    /// Snapshot of the backend program (in precision `T`), stats sink
+    /// and input-histogram sink for `id` — what a flush unit carries.
+    /// `None` when `id` is unregistered or its backend has no lane in
+    /// `T` (submission already rejected the latter). Both precisions feed
+    /// the same per-function counters. Like [`Self::engine`], the
+    /// snapshot is unaffected by later publishes.
     #[allow(clippy::type_complexity)]
-    pub(crate) fn binding(
+    pub(crate) fn binding<T: Precision>(
         &self,
         id: FunctionId,
     ) -> Option<(
-        Arc<dyn BackendProgram>,
-        Arc<StatsAccumulator>,
-        Arc<HistogramAccum>,
-    )> {
-        self.entries.read().unwrap().get(id.0 as usize).map(|e| {
-            (
-                Arc::clone(&e.program),
-                Arc::clone(&e.stats),
-                Arc::clone(&e.histogram),
-            )
-        })
-    }
-
-    /// The f32 half of [`Self::binding`]: the backend's f32 program
-    /// snapshot for `id`, or `None` when `id` is unregistered *or* its
-    /// backend has no f32 lane (submission already rejected the latter
-    /// with [`crate::ServeError::PrecisionUnsupported`], so the batcher
-    /// only sees `None` here on an unregistered id). f32 flushes feed
-    /// the same per-function stats counters as f64 ones.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn binding_f32(
-        &self,
-        id: FunctionId,
-    ) -> Option<(
-        Arc<dyn BackendProgramF32>,
+        Arc<dyn BackendProgram<T>>,
         Arc<StatsAccumulator>,
         Arc<HistogramAccum>,
     )> {
@@ -361,23 +335,29 @@ impl FunctionRegistry {
             .get(id.0 as usize)
             .and_then(|e| {
                 Some((
-                    Arc::clone(e.program_f32.as_ref()?),
+                    Arc::clone(T::program(e)?),
                     Arc::clone(&e.stats),
                     Arc::clone(&e.histogram),
                 ))
             })
     }
 
-    /// Whether `id`'s backend can serve f32 jobs ([`None`] if `id` is
-    /// unregistered). Fixed by the backend binding at registration —
+    /// Whether `id`'s backend can serve precision `T` ([`None`] if `id`
+    /// is unregistered). Fixed by the backend binding at registration —
     /// publishes re-lower through the same backend, so the answer never
     /// changes over an entry's lifetime.
-    pub fn supports_f32(&self, id: FunctionId) -> Option<bool> {
+    pub(crate) fn supports<T: Precision>(&self, id: FunctionId) -> Option<bool> {
         self.entries
             .read()
             .unwrap()
             .get(id.0 as usize)
-            .map(|e| e.program_f32.is_some())
+            .map(|e| T::program(e).is_some())
+    }
+
+    /// Whether `id`'s backend can serve f32 jobs ([`None`] if `id` is
+    /// unregistered).
+    pub fn supports_f32(&self, id: FunctionId) -> Option<bool> {
+        self.supports::<f32>(id)
     }
 
     /// The current native **f32** engine for `id` — the direct-eval
@@ -389,7 +369,7 @@ impl FunctionRegistry {
             .read()
             .unwrap()
             .get(id.0 as usize)
-            .map(|e| Arc::clone(&e.engine_f32))
+            .map(|e| Arc::clone(&e.bound.engine_f32))
     }
 
     /// The bound backend's name for `id` (`"native"`, `"sfu-emu"`, …).
@@ -592,7 +572,7 @@ mod tests {
         let too_deep = uniform_pwl(&Tanh, 63, (-8.0, 8.0));
         let err = r.publish(id, CompiledPwl::from_pwl(&too_deep));
         assert!(matches!(err, Err(crate::ServeError::LowerFailed(_))));
-        let (program, _, _) = r.binding(id).unwrap();
+        let (program, _, _) = r.binding::<f64>(id).unwrap();
         assert_eq!(program.backend_name(), "sfu-emu");
         // A fitting publish re-lowers onto the same backend.
         r.publish(

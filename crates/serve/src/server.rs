@@ -48,9 +48,10 @@ use crate::histogram::HistogramAccum;
 use crate::obs::{FuncObs, ObsState, ServeObs};
 use crate::oneshot;
 use crate::plan::FlushPlan;
-use crate::registry::{FunctionId, FunctionRegistry, StatsAccumulator};
+use crate::registry::{Entry, FunctionId, FunctionRegistry, StatsAccumulator};
 use crate::testkit::Faults;
-use flexsfu_backend::{BackendProgram, BackendProgramF32};
+use flexsfu_backend::BackendProgram;
+use flexsfu_core::Element;
 use flexsfu_obs::{SpanCell, Stage};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -157,15 +158,15 @@ struct Job {
 /// A job's payload and result channel, tagged by precision. An f32 job
 /// stays f32 from submission to scatter-back — the packed flush buffer,
 /// the kernels and the result vector never touch f64.
-enum JobData {
-    F64 {
-        data: Vec<f64>,
-        tx: oneshot::Sender<Vec<f64>>,
-    },
-    F32 {
-        data: Vec<f32>,
-        tx: oneshot::Sender<Vec<f32>>,
-    },
+pub(crate) enum JobData {
+    F64(Payload<f64>),
+    F32(Payload<f32>),
+}
+
+/// One job's tensor and the channel its result goes back over.
+pub(crate) struct Payload<T> {
+    data: Vec<T>,
+    tx: oneshot::Sender<Vec<T>>,
 }
 
 impl JobData {
@@ -173,9 +174,46 @@ impl JobData {
     /// element-based regardless of precision.
     fn len(&self) -> usize {
         match self {
-            JobData::F64 { data, .. } => data.len(),
-            JobData::F32 { data, .. } => data.len(),
+            JobData::F64(p) => p.data.len(),
+            JobData::F32(p) => p.data.len(),
         }
+    }
+}
+
+/// A precision the server carries end to end: ties the element type to
+/// its arm of the precision-tagged queue and unit enums and to its
+/// backend program in the registry. Everything else — admission, flush
+/// planning, packing, evaluation, scatter — is written once over it.
+pub(crate) trait Precision: Element {
+    /// Tags a payload for the shared queue.
+    fn job(payload: Payload<Self>) -> JobData;
+    /// Tags a packed unit for the worker channel.
+    fn unit(unit: Unit<Self>) -> FlushUnit;
+    /// The entry's program in this precision, if its backend has one.
+    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<Self>>>;
+}
+
+impl Precision for f64 {
+    fn job(payload: Payload<f64>) -> JobData {
+        JobData::F64(payload)
+    }
+    fn unit(unit: Unit<f64>) -> FlushUnit {
+        FlushUnit::F64(unit)
+    }
+    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram>> {
+        Some(&entry.bound.program)
+    }
+}
+
+impl Precision for f32 {
+    fn job(payload: Payload<f32>) -> JobData {
+        JobData::F32(payload)
+    }
+    fn unit(unit: Unit<f32>) -> FlushUnit {
+        FlushUnit::F32(unit)
+    }
+    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<f32>>> {
+        entry.bound.program_f32.as_ref()
     }
 }
 
@@ -183,27 +221,23 @@ impl JobData {
 /// channel, trace cell)` in packed order.
 type PackedJob<T> = (usize, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
 
+/// A unit of either precision, as the worker channel carries it.
+pub(crate) enum FlushUnit {
+    F64(Unit<f64>),
+    F32(Unit<f32>),
+}
+
 /// One function's packed share of a flush, ready for a worker: the
 /// backend program snapshot it evaluates through (in the flush's
 /// precision — a unit never mixes precisions, just as it never mixes
 /// functions), and the stats sink the flush's cost lands in.
-enum FlushUnit {
-    F64 {
-        program: Arc<dyn BackendProgram>,
-        stats: Arc<StatsAccumulator>,
-        histogram: Arc<HistogramAccum>,
-        xs: Vec<f64>,
-        jobs: Vec<PackedJob<f64>>,
-        obs: Option<UnitObs>,
-    },
-    F32 {
-        program: Arc<dyn BackendProgramF32>,
-        stats: Arc<StatsAccumulator>,
-        histogram: Arc<HistogramAccum>,
-        xs: Vec<f32>,
-        jobs: Vec<PackedJob<f32>>,
-        obs: Option<UnitObs>,
-    },
+pub(crate) struct Unit<T: Element> {
+    program: Arc<dyn BackendProgram<T>>,
+    stats: Arc<StatsAccumulator>,
+    histogram: Arc<HistogramAccum>,
+    xs: Vec<T>,
+    jobs: Vec<PackedJob<T>>,
+    obs: Option<UnitObs>,
 }
 
 /// The observability handles one flush unit carries to its worker: the
@@ -262,6 +296,16 @@ struct Shared {
     obs: Option<Arc<ObsState>>,
 }
 
+impl Shared {
+    fn queue_depth(&self) -> QueueDepth {
+        let q = self.queue.lock().unwrap();
+        QueueDepth {
+            jobs: q.jobs.len(),
+            elems: q.queued_elems,
+        }
+    }
+}
+
 /// A point-in-time reading of the submission queue — the stats hook the
 /// wire tier reports in health-check pongs (see
 /// [`ServeHandle::queue_depth`]).
@@ -292,14 +336,19 @@ pub struct ServeHandle {
     queue_elements: usize,
 }
 
-/// A pending result: block on [`JobTicket::wait`] or `.await` it from
-/// any executor (the oneshot receiver stores the task's waker).
-pub struct JobTicket {
-    rx: oneshot::Receiver<Vec<f64>>,
+/// A pending result, f64 unless named ([`JobTicketF32`] for
+/// [`ServeHandle::submit_f32`]): block on [`JobTicket::wait`] or
+/// `.await` it from any executor (the oneshot receiver stores the task's
+/// waker).
+pub struct JobTicket<T: Element = f64> {
+    rx: oneshot::Receiver<Vec<T>>,
     span: Option<Arc<SpanCell>>,
 }
 
-impl JobTicket {
+/// The single-precision ticket [`ServeHandle::submit_f32`] returns.
+pub type JobTicketF32 = JobTicket<f32>;
+
+impl<T: Element> JobTicket<T> {
     /// Blocks until the job's results arrive.
     ///
     /// # Errors
@@ -307,7 +356,7 @@ impl JobTicket {
     /// Returns [`ServeError::Disconnected`] if the server dropped the
     /// job's result channel without completing it (only possible if an
     /// evaluation worker panicked).
-    pub fn wait(self) -> Result<Vec<f64>, ServeError> {
+    pub fn wait(self) -> Result<Vec<T>, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)
     }
 
@@ -318,42 +367,8 @@ impl JobTicket {
     }
 }
 
-impl std::future::Future for JobTicket {
-    type Output = Result<Vec<f64>, ServeError>;
-
-    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        std::pin::Pin::new(&mut self.get_mut().rx)
-            .poll(cx)
-            .map(|r| r.map_err(|_| ServeError::Disconnected))
-    }
-}
-
-/// The single-precision [`JobTicket`]: a pending f32 result from
-/// [`ServeHandle::submit_f32`]. Same dual wait/`.await` interface.
-pub struct JobTicketF32 {
-    rx: oneshot::Receiver<Vec<f32>>,
-    span: Option<Arc<SpanCell>>,
-}
-
-impl JobTicketF32 {
-    /// Blocks until the job's f32 results arrive.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Disconnected`], as for [`JobTicket::wait`].
-    pub fn wait(self) -> Result<Vec<f32>, ServeError> {
-        self.rx.recv().map_err(|_| ServeError::Disconnected)
-    }
-
-    /// The job's trace cell, when the server traced it — see
-    /// [`JobTicket::span`].
-    pub fn span(&self) -> Option<&Arc<SpanCell>> {
-        self.span.as_ref()
-    }
-}
-
-impl std::future::Future for JobTicketF32 {
-    type Output = Result<Vec<f32>, ServeError>;
+impl<T: Element> std::future::Future for JobTicket<T> {
+    type Output = Result<Vec<T>, ServeError>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         std::pin::Pin::new(&mut self.get_mut().rx)
@@ -504,20 +519,11 @@ impl PwlServer {
 
     /// Current submission-queue depth — see [`ServeHandle::queue_depth`].
     pub fn queue_depth(&self) -> QueueDepth {
-        let q = self.shared.queue.lock().unwrap();
-        QueueDepth {
-            jobs: q.jobs.len(),
-            elems: q.queued_elems,
-        }
+        self.shared.queue_depth()
     }
 
     fn shutdown_inner(&mut self) {
-        {
-            let mut q = self.shared.queue.lock().unwrap();
-            q.shutdown = true;
-        }
-        self.shared.job_ready.notify_all();
-        self.shared.space.notify_all();
+        self.begin_drain();
         if let Some(b) = self.batcher.take() {
             // The batcher drains the queue into the workers' channel and
             // drops its sender, which ends the worker loops.
@@ -547,7 +553,7 @@ impl ServeHandle {
     /// [`ServeError::ShuttingDown`] if the server stopped admitting jobs
     /// (including while blocked waiting for space).
     pub fn submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
-        self.submit_inner(func, data, true, None)
+        self.submit_lane(func, data, true, None)
     }
 
     /// Non-blocking [`Self::submit`]: a full queue returns
@@ -557,7 +563,7 @@ impl ServeHandle {
     ///
     /// As [`Self::submit`], plus [`ServeError::QueueFull`].
     pub fn try_submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
-        self.submit_inner(func, data, false, None)
+        self.submit_lane(func, data, false, None)
     }
 
     /// Non-blocking submit carrying a propagated distributed-trace id.
@@ -577,7 +583,7 @@ impl ServeHandle {
         data: Vec<f64>,
         trace: Option<u64>,
     ) -> Result<JobTicket, ServeError> {
-        self.submit_inner(func, data, false, trace)
+        self.submit_lane(func, data, false, trace)
     }
 
     /// Submits a **single-precision** job: the tensor is batched into an
@@ -594,7 +600,7 @@ impl ServeHandle {
     /// As [`Self::submit`], plus [`ServeError::PrecisionUnsupported`]
     /// if the function's backend has no f32 lane.
     pub fn submit_f32(&self, func: FunctionId, data: Vec<f32>) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, true, None)
+        self.submit_lane(func, data, true, None)
     }
 
     /// Non-blocking [`Self::submit_f32`]: a full queue returns
@@ -608,7 +614,7 @@ impl ServeHandle {
         func: FunctionId,
         data: Vec<f32>,
     ) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, false, None)
+        self.submit_lane(func, data, false, None)
     }
 
     /// Non-blocking f32 submit carrying a propagated distributed-trace
@@ -623,7 +629,7 @@ impl ServeHandle {
         data: Vec<f32>,
         trace: Option<u64>,
     ) -> Result<JobTicketF32, ServeError> {
-        self.submit_f32_inner(func, data, false, trace)
+        self.submit_lane(func, data, false, trace)
     }
 
     /// The registry this handle's server evaluates through.
@@ -636,11 +642,7 @@ impl ServeHandle {
     /// router can see a shard's pressure without submitting to it.
     /// Point-in-time: concurrent submits and flushes move it.
     pub fn queue_depth(&self) -> QueueDepth {
-        let q = self.shared.queue.lock().unwrap();
-        QueueDepth {
-            jobs: q.jobs.len(),
-            elems: q.queued_elems,
-        }
+        self.shared.queue_depth()
     }
 
     /// Whether the server has stopped admitting jobs
@@ -650,39 +652,24 @@ impl ServeHandle {
         self.shared.queue.lock().unwrap().shutdown
     }
 
-    fn submit_inner(
+    fn submit_lane<T: Precision>(
         &self,
         func: FunctionId,
-        data: Vec<f64>,
+        data: Vec<T>,
         block: bool,
         trace: Option<u64>,
-    ) -> Result<JobTicket, ServeError> {
-        if !self.registry.contains(func) {
-            return Err(ServeError::UnknownFunction(func));
-        }
-        let (tx, rx) = oneshot::channel();
-        let span = self.enqueue(func, JobData::F64 { data, tx }, block, trace)?;
-        Ok(JobTicket { rx, span })
-    }
-
-    fn submit_f32_inner(
-        &self,
-        func: FunctionId,
-        data: Vec<f32>,
-        block: bool,
-        trace: Option<u64>,
-    ) -> Result<JobTicketF32, ServeError> {
+    ) -> Result<JobTicket<T>, ServeError> {
         // The precision check runs at admission, not at flush: a job the
         // backend can never evaluate must bounce here, where the caller
         // can still handle it, not surface later as `Disconnected`.
-        match self.registry.supports_f32(func) {
+        match self.registry.supports::<T>(func) {
             None => return Err(ServeError::UnknownFunction(func)),
             Some(false) => return Err(ServeError::PrecisionUnsupported(func)),
             Some(true) => {}
         }
         let (tx, rx) = oneshot::channel();
-        let span = self.enqueue(func, JobData::F32 { data, tx }, block, trace)?;
-        Ok(JobTicketF32 { rx, span })
+        let span = self.enqueue(func, T::job(Payload { data, tx }), block, trace)?;
+        Ok(JobTicket { rx, span })
     }
 
     /// The precision-agnostic admission path: bounds, backpressure and
@@ -913,66 +900,70 @@ fn batcher_loop(
     }
 }
 
-/// Plans a drained batch, packs one contiguous buffer per function *and
-/// precision*, and snapshots each function's current backend program
-/// for the unit — a concurrently published table applies from the next
-/// flush on, and no unit ever mixes tables (nor backends nor
-/// precisions: units are per-function, and the drain is partitioned by
-/// precision before planning, preserving submission order within each).
+/// A drained job awaiting one precision's flush plan: its function, its
+/// payload, its enqueue instant, and its trace cell.
+type PendingJob<T> = (FunctionId, Payload<T>, u64, Option<Arc<SpanCell>>);
+
+/// Splits a drained batch by precision (preserving submission order
+/// within each) and sends each precision's units — a unit never mixes
+/// precisions.
 fn dispatch_flush(
     drained: Vec<Job>,
     registry: &FunctionRegistry,
     unit_tx: &mpsc::Sender<FlushUnit>,
     shared: &Shared,
 ) {
-    let obs = shared.obs.as_ref();
-    /// A drained job awaiting one precision's flush plan: its function,
-    /// its payload, the oneshot completing it, its enqueue instant, and
-    /// its trace cell.
-    type PendingJob<T> = (
-        FunctionId,
-        Vec<T>,
-        oneshot::Sender<Vec<T>>,
-        u64,
-        Option<Arc<SpanCell>>,
-    );
     let mut jobs64: Vec<PendingJob<f64>> = Vec::new();
     let mut jobs32: Vec<PendingJob<f32>> = Vec::new();
     for job in drained {
         match job.data {
-            JobData::F64 { data, tx } => {
-                jobs64.push((job.func, data, tx, job.enqueued_ns, job.span))
-            }
-            JobData::F32 { data, tx } => {
-                jobs32.push((job.func, data, tx, job.enqueued_ns, job.span))
-            }
+            JobData::F64(p) => jobs64.push((job.func, p, job.enqueued_ns, job.span)),
+            JobData::F32(p) => jobs32.push((job.func, p, job.enqueued_ns, job.span)),
         }
     }
     // One clock read covers the whole plan: every job in this drain was
     // planned at the same instant, and queue wait is measured to here.
-    let plan_ns = obs.map(|o| o.now_ns()).unwrap_or_default();
+    let plan_ns = shared.obs.as_ref().map(|o| o.now_ns()).unwrap_or_default();
+    if send_units(jobs64, plan_ns, registry, unit_tx, shared) {
+        send_units(jobs32, plan_ns, registry, unit_tx, shared);
+    }
+}
 
-    // f64 share of the flush.
-    let shapes: Vec<(FunctionId, usize)> = jobs64.iter().map(|(f, d, ..)| (*f, d.len())).collect();
+/// Plans one precision's share of a drained batch, packs one contiguous
+/// buffer per function, and snapshots each function's current backend
+/// program for the unit — a concurrently published table applies from
+/// the next flush on, and no unit ever mixes tables (nor backends:
+/// units are per-function). `false` once the workers are gone.
+fn send_units<T: Precision>(
+    jobs: Vec<PendingJob<T>>,
+    plan_ns: u64,
+    registry: &FunctionRegistry,
+    unit_tx: &mpsc::Sender<FlushUnit>,
+    shared: &Shared,
+) -> bool {
+    let obs = shared.obs.as_ref();
+    let shapes: Vec<(FunctionId, usize)> =
+        jobs.iter().map(|(f, p, ..)| (*f, p.data.len())).collect();
     let plan = FlushPlan::build(&shapes);
-    let mut slots: Vec<Option<PendingJob<f64>>> = jobs64.into_iter().map(Some).collect();
+    let mut slots: Vec<Option<PendingJob<T>>> = jobs.into_iter().map(Some).collect();
     for group in plan.groups {
-        let Some((program, stats, histogram)) = registry.binding(group.func) else {
-            // Unreachable in practice — submit validates ids and the
-            // registry never unregisters. Dropping the senders fails the
-            // jobs with `Disconnected` rather than poisoning the server.
-            debug_assert!(false, "function {:?} vanished from registry", group.func);
+        let Some((program, stats, histogram)) = registry.binding::<T>(group.func) else {
+            // Unreachable in practice — submit validates ids and
+            // precision support, and the registry never unregisters.
+            // Dropping the senders fails the jobs with `Disconnected`
+            // rather than poisoning the server.
+            debug_assert!(false, "function {:?} lost its binding", group.func);
             continue;
         };
         let unit_obs = obs.map(|o| UnitObs {
             state: Arc::clone(o),
             func: o.func(group.func, registry),
         });
-        let mut xs = vec![0.0f64; group.total];
-        let mut jobs = Vec::with_capacity(group.spans.len());
+        let mut xs = vec![T::default(); group.total];
+        let mut packed = Vec::with_capacity(group.spans.len());
         for span in &group.spans {
-            let (_, data, tx, enqueued_ns, cell) = slots[span.job].take().expect("span bijection");
-            xs[span.offset..span.offset + span.len].copy_from_slice(&data);
+            let (_, p, enqueued_ns, cell) = slots[span.job].take().expect("span bijection");
+            xs[span.offset..span.offset + span.len].copy_from_slice(&p.data);
             if let Some(u) = &unit_obs {
                 u.func
                     .queue_wait_ns
@@ -981,72 +972,27 @@ fn dispatch_flush(
                     cell.record(Stage::FlushPlan, plan_ns);
                 }
             }
-            jobs.push((span.len, tx, cell));
+            packed.push((span.len, p.tx, cell));
         }
         if let Some(u) = &unit_obs {
             u.state.flush_units.inc();
             u.state.flush_elems.record(group.total as u64);
         }
+        let unit = T::unit(Unit {
+            program,
+            stats,
+            histogram,
+            xs,
+            jobs: packed,
+            obs: unit_obs,
+        });
         // Workers gone (panicked) — nothing to do; senders drop and the
         // submitters observe `Disconnected`.
-        let unit = FlushUnit::F64 {
-            program,
-            stats,
-            histogram,
-            xs,
-            jobs,
-            obs: unit_obs,
-        };
         if !send_unit(shared, unit_tx, unit) {
-            return;
+            return false;
         }
     }
-
-    // f32 share — its own plan over its own buffers; admission already
-    // guaranteed every one of these functions has an f32 program.
-    let shapes: Vec<(FunctionId, usize)> = jobs32.iter().map(|(f, d, ..)| (*f, d.len())).collect();
-    let plan = FlushPlan::build(&shapes);
-    let mut slots: Vec<Option<PendingJob<f32>>> = jobs32.into_iter().map(Some).collect();
-    for group in plan.groups {
-        let Some((program, stats, histogram)) = registry.binding_f32(group.func) else {
-            debug_assert!(false, "function {:?} lost its f32 binding", group.func);
-            continue;
-        };
-        let unit_obs = obs.map(|o| UnitObs {
-            state: Arc::clone(o),
-            func: o.func(group.func, registry),
-        });
-        let mut xs = vec![0.0f32; group.total];
-        let mut jobs = Vec::with_capacity(group.spans.len());
-        for span in &group.spans {
-            let (_, data, tx, enqueued_ns, cell) = slots[span.job].take().expect("span bijection");
-            xs[span.offset..span.offset + span.len].copy_from_slice(&data);
-            if let Some(u) = &unit_obs {
-                u.func
-                    .queue_wait_ns
-                    .record(plan_ns.saturating_sub(enqueued_ns));
-                if let Some(cell) = &cell {
-                    cell.record(Stage::FlushPlan, plan_ns);
-                }
-            }
-            jobs.push((span.len, tx, cell));
-        }
-        if let Some(u) = &unit_obs {
-            u.state.flush_units.inc();
-            u.state.flush_elems.record(group.total as u64);
-        }
-        let unit = FlushUnit::F32 {
-            program,
-            stats,
-            histogram,
-            xs,
-            jobs,
-            obs: unit_obs,
-        };
-        if !send_unit(shared, unit_tx, unit) {
-            return;
-        }
-    }
+    true
 }
 
 /// Hands one unit to the workers, counting it busy until a worker
@@ -1112,92 +1058,61 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, shared: &Shared) {
             std::thread::sleep(delay);
         }
         match unit {
-            FlushUnit::F64 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs,
-            } => {
-                // Record inputs before completing any ticket: once every
-                // ticket of a quiesced batch has resolved, the histogram
-                // already reflects all of its elements — the ordering
-                // drift-window determinism relies on.
-                histogram.record_f64(&xs);
-                let eval_start = obs.as_ref().map(|u| {
-                    let t = u.state.now_ns();
-                    for (_, _, cell) in &jobs {
-                        if let Some(cell) = cell {
-                            cell.record(Stage::BackendEval, t);
-                        }
-                    }
-                    t
-                });
-                let mut outs: Vec<Vec<f64>> = jobs.iter().map(|(n, ..)| vec![0.0; *n]).collect();
-                let flush_stats = {
-                    let mut views: Vec<&mut [f64]> =
-                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                    program.eval_scatter_into(&xs, &mut views)
-                };
-                stats.record(&flush_stats);
-                if let (Some(u), Some(t0)) = (&obs, eval_start) {
-                    record_flush_obs(u, t0, &flush_stats);
-                }
-                for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
-                    // Injected reply loss (testkit): drop the channel so
-                    // the ticket observes `Disconnected`.
-                    if faults.is_some_and(Faults::take_drop_reply) {
-                        continue;
-                    }
-                    // Stamp before completing the ticket: a replay
-                    // driver that advances a manual clock once all
-                    // tickets resolved must never race a late stamp.
-                    if let (Some(u), Some(cell)) = (&obs, &cell) {
-                        cell.record(Stage::ScatterBack, u.state.now_ns());
-                    }
-                    // A dropped ticket is fine — the caller stopped caring.
-                    tx.send(out);
+            FlushUnit::F64(unit) => unit.run(faults),
+            FlushUnit::F32(unit) => unit.run(faults),
+        }
+    }
+}
+
+impl<T: Element> Unit<T> {
+    /// Evaluates the unit straight into per-job result buffers, records
+    /// the flush cost, and completes the jobs' oneshots.
+    fn run(self, faults: Option<&Faults>) {
+        let Unit {
+            program,
+            stats,
+            histogram,
+            xs,
+            jobs,
+            obs,
+        } = self;
+        // Record inputs before completing any ticket: once every ticket
+        // of a quiesced batch has resolved, the histogram already
+        // reflects all of its elements — the ordering drift-window
+        // determinism relies on.
+        histogram.record(&xs);
+        let eval_start = obs.as_ref().map(|u| {
+            let t = u.state.now_ns();
+            for (_, _, cell) in &jobs {
+                if let Some(cell) = cell {
+                    cell.record(Stage::BackendEval, t);
                 }
             }
-            FlushUnit::F32 {
-                program,
-                stats,
-                histogram,
-                xs,
-                jobs,
-                obs,
-            } => {
-                histogram.record_f32(&xs);
-                let eval_start = obs.as_ref().map(|u| {
-                    let t = u.state.now_ns();
-                    for (_, _, cell) in &jobs {
-                        if let Some(cell) = cell {
-                            cell.record(Stage::BackendEval, t);
-                        }
-                    }
-                    t
-                });
-                let mut outs: Vec<Vec<f32>> = jobs.iter().map(|(n, ..)| vec![0.0; *n]).collect();
-                let flush_stats = {
-                    let mut views: Vec<&mut [f32]> =
-                        outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-                    program.eval_scatter_into(&xs, &mut views)
-                };
-                stats.record(&flush_stats);
-                if let (Some(u), Some(t0)) = (&obs, eval_start) {
-                    record_flush_obs(u, t0, &flush_stats);
-                }
-                for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
-                    if faults.is_some_and(Faults::take_drop_reply) {
-                        continue;
-                    }
-                    if let (Some(u), Some(cell)) = (&obs, &cell) {
-                        cell.record(Stage::ScatterBack, u.state.now_ns());
-                    }
-                    tx.send(out);
-                }
+            t
+        });
+        let mut outs: Vec<Vec<T>> = jobs.iter().map(|(n, ..)| vec![T::default(); *n]).collect();
+        let flush_stats = {
+            let mut views: Vec<&mut [T]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+            program.eval_scatter_into(&xs, &mut views)
+        };
+        stats.record(&flush_stats);
+        if let (Some(u), Some(t0)) = (&obs, eval_start) {
+            record_flush_obs(u, t0, &flush_stats);
+        }
+        for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
+            // Injected reply loss (testkit): drop the channel so the
+            // ticket observes `Disconnected`.
+            if faults.is_some_and(Faults::take_drop_reply) {
+                continue;
             }
+            // Stamp before completing the ticket: a replay driver that
+            // advances a manual clock once all tickets resolved must
+            // never race a late stamp.
+            if let (Some(u), Some(cell)) = (&obs, &cell) {
+                cell.record(Stage::ScatterBack, u.state.now_ns());
+            }
+            // A dropped ticket is fine — the caller stopped caring.
+            tx.send(out);
         }
     }
 }
