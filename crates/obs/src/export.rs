@@ -25,7 +25,7 @@
 //! production.
 
 use crate::metrics::{Counter, MetricsRegistry};
-use crate::snapshot::{MetricsSnapshot, SnapshotError};
+use crate::snapshot::{Cur, MetricsSnapshot, SnapshotError};
 use crate::span::{Span, SpanRecorder, STAGE_COUNT};
 use std::collections::VecDeque;
 use std::fmt;
@@ -109,53 +109,33 @@ impl TelemetryBatch {
     /// shares the snapshot codec's error vocabulary); trailing bytes
     /// are rejected.
     pub fn decode(bytes: &[u8]) -> Result<TelemetryBatch, SnapshotError> {
-        let truncated = |need: usize, have: usize| SnapshotError::Truncated { need, have };
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], SnapshotError> {
-            if bytes.len() - *at < n {
-                return Err(truncated(n, bytes.len() - *at));
-            }
-            let s = &bytes[*at..*at + n];
-            *at += n;
-            Ok(s)
-        };
-        let magic: [u8; 4] = take(&mut at, 4)?.try_into().expect("4 bytes");
+        let mut c = Cur::new(bytes);
+        let magic = c.take::<4>()?;
         if magic != BATCH_MAGIC {
             return Err(SnapshotError::BadMagic(magic));
         }
-        let version = u16::from_le_bytes(take(&mut at, 2)?.try_into().expect("2 bytes"));
+        let version = u16::from_le_bytes(c.take::<2>()?);
         if version != BATCH_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let olen = u16::from_le_bytes(take(&mut at, 2)?.try_into().expect("2 bytes")) as usize;
-        let origin = std::str::from_utf8(take(&mut at, olen)?)
-            .map_err(|_| SnapshotError::BadKey)?
-            .to_string();
-        let seq = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("8 bytes"));
-        let blen = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) as usize;
-        let snapshot = MetricsSnapshot::decode(take(&mut at, blen)?)?;
-        let nspans = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes")) as usize;
-        // Guard the count against the bytes actually present (each span
-        // needs at least job + func + flag + stamp count).
-        let min_span = 8 + 4 + 1 + 2;
-        if nspans.saturating_mul(min_span) > bytes.len() - at {
-            return Err(truncated(nspans * min_span, bytes.len() - at));
-        }
+        let origin = c.key()?;
+        let seq = u64::from_le_bytes(c.take::<8>()?);
+        let blen = u32::from_le_bytes(c.take::<4>()?) as usize;
+        let snapshot = MetricsSnapshot::decode(c.bytes(blen)?)?;
+        // Each span needs at least job + func + flag + stamp count.
+        let nspans = c.count(8 + 4 + 1 + 2)?;
         let mut spans = Vec::with_capacity(nspans);
         for _ in 0..nspans {
-            let job = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("8 bytes"));
-            let func = u32::from_le_bytes(take(&mut at, 4)?.try_into().expect("4 bytes"));
-            let trace = match take(&mut at, 1)?[0] {
-                0 => None,
-                _ => Some(u64::from_le_bytes(
-                    take(&mut at, 8)?.try_into().expect("8 bytes"),
-                )),
+            let job = u64::from_le_bytes(c.take::<8>()?);
+            let func = u32::from_le_bytes(c.take::<4>()?);
+            let trace = match c.take::<1>()? {
+                [0] => None,
+                _ => Some(u64::from_le_bytes(c.take::<8>()?)),
             };
-            let nstamps =
-                u16::from_le_bytes(take(&mut at, 2)?.try_into().expect("2 bytes")) as usize;
+            let nstamps = u16::from_le_bytes(c.take::<2>()?) as usize;
             let mut stamps = [None; STAGE_COUNT];
             for i in 0..nstamps {
-                let raw = u64::from_le_bytes(take(&mut at, 8)?.try_into().expect("8 bytes"));
+                let raw = u64::from_le_bytes(c.take::<8>()?);
                 if i < STAGE_COUNT && raw != u64::MAX {
                     stamps[i] = Some(raw);
                 }
@@ -167,9 +147,7 @@ impl TelemetryBatch {
                 stamps,
             });
         }
-        if at != bytes.len() {
-            return Err(SnapshotError::TrailingBytes(bytes.len() - at));
-        }
+        c.finish()?;
         Ok(TelemetryBatch {
             origin,
             seq,

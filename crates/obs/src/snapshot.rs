@@ -212,7 +212,7 @@ impl MetricsSnapshot {
     /// Any malformed input yields a [`SnapshotError`]; trailing bytes
     /// after a complete snapshot are rejected.
     pub fn decode(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotError> {
-        let mut c = Cur { b: bytes, at: 0 };
+        let mut c = Cur::new(bytes);
         let magic = c.take::<4>()?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic(magic));
@@ -254,9 +254,7 @@ impl MetricsSnapshot {
             }
             histograms.push((k, h));
         }
-        if c.at != bytes.len() {
-            return Err(SnapshotError::TrailingBytes(bytes.len() - c.at));
-        }
+        c.finish()?;
         let mut out = MetricsSnapshot {
             counters,
             gauges,
@@ -440,29 +438,38 @@ fn escape_labels(labels: &str) -> String {
     }
 }
 
-struct Cur<'a> {
+/// A bounds-checked little-endian byte cursor: every read fails with
+/// [`SnapshotError::Truncated`] instead of panicking, which is what makes
+/// the snapshot and telemetry-batch decoders total.
+pub(crate) struct Cur<'a> {
     b: &'a [u8],
     at: usize,
 }
 
-impl Cur<'_> {
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
-        if self.b.len() - self.at < N {
-            return Err(SnapshotError::Truncated {
-                need: N,
-                have: self.b.len() - self.at,
-            });
+impl<'a> Cur<'a> {
+    pub(crate) fn new(b: &'a [u8]) -> Self {
+        Self { b, at: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        let have = self.b.len() - self.at;
+        if have < n {
+            return Err(SnapshotError::Truncated { need: n, have });
         }
-        let mut out = [0u8; N];
-        out.copy_from_slice(&self.b[self.at..self.at + N]);
-        self.at += N;
-        Ok(out)
+        let s = &self.b[self.at..self.at + n];
+        self.at += n;
+        Ok(s)
+    }
+
+    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.bytes(N)?.try_into().expect("exactly N bytes"))
     }
 
     /// Reads a `u32` entry count and sanity-checks it against the bytes
     /// actually remaining (each entry needs at least `min_entry` bytes),
     /// so a hostile count cannot force a huge allocation.
-    fn count(&mut self, min_entry: usize) -> Result<usize, SnapshotError> {
+    pub(crate) fn count(&mut self, min_entry: usize) -> Result<usize, SnapshotError> {
         let n = u32::from_le_bytes(self.take::<4>()?) as usize;
         let have = self.b.len() - self.at;
         if n.saturating_mul(min_entry) > have {
@@ -474,18 +481,19 @@ impl Cur<'_> {
         Ok(n)
     }
 
-    fn key(&mut self) -> Result<String, SnapshotError> {
+    /// A `u16`-length-prefixed UTF-8 string.
+    pub(crate) fn key(&mut self) -> Result<String, SnapshotError> {
         let len = u16::from_le_bytes(self.take::<2>()?) as usize;
-        if self.b.len() - self.at < len {
-            return Err(SnapshotError::Truncated {
-                need: len,
-                have: self.b.len() - self.at,
-            });
-        }
-        let s = std::str::from_utf8(&self.b[self.at..self.at + len])
-            .map_err(|_| SnapshotError::BadKey)?;
-        self.at += len;
+        let s = std::str::from_utf8(self.bytes(len)?).map_err(|_| SnapshotError::BadKey)?;
         Ok(s.to_string())
+    }
+
+    /// Rejects trailing bytes after a complete value.
+    pub(crate) fn finish(&self) -> Result<(), SnapshotError> {
+        match self.b.len() - self.at {
+            0 => Ok(()),
+            n => Err(SnapshotError::TrailingBytes(n)),
+        }
     }
 }
 

@@ -340,7 +340,7 @@ pub struct ServeHandle {
 /// [`ServeHandle::submit_f32`]): block on [`JobTicket::wait`] or
 /// `.await` it from any executor (the oneshot receiver stores the task's
 /// waker).
-pub struct JobTicket<T: Element = f64> {
+pub struct JobTicket<T = f64> {
     rx: oneshot::Receiver<Vec<T>>,
     span: Option<Arc<SpanCell>>,
 }
@@ -348,7 +348,7 @@ pub struct JobTicket<T: Element = f64> {
 /// The single-precision ticket [`ServeHandle::submit_f32`] returns.
 pub type JobTicketF32 = JobTicket<f32>;
 
-impl<T: Element> JobTicket<T> {
+impl<T> JobTicket<T> {
     /// Blocks until the job's results arrive.
     ///
     /// # Errors
@@ -367,7 +367,7 @@ impl<T: Element> JobTicket<T> {
     }
 }
 
-impl<T: Element> std::future::Future for JobTicket<T> {
+impl<T> std::future::Future for JobTicket<T> {
     type Output = Result<Vec<T>, ServeError>;
 
     fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {

@@ -16,19 +16,71 @@ use flexsfu_obs::MetricsSnapshot;
 use flexsfu_serve::oneshot;
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// A completed job's payload, either lane.
-enum Payload {
-    F64(Vec<f64>),
-    F32(Vec<f32>),
+/// A precision the wire carries: ties the element type to its submit and
+/// result frame variants, so the client's submits and tickets and the
+/// server's reply path are written once for both. Sealed: the trait is
+/// public only so it can bound [`WireTicket`]'s methods, and this module
+/// is private, so no other crate can name or implement it.
+pub trait WireElement: Sized + Send + 'static {
+    /// The submit frame carrying `data`.
+    fn submit(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame;
+    /// The result frame carrying `data`.
+    fn result(req: u64, data: Vec<Self>) -> Frame;
+    /// The payload of a result frame of this precision, or `None` for
+    /// the other one.
+    fn payload(frame: Frame) -> Option<Vec<Self>>;
 }
 
-type JobResult = Result<Payload, WireError>;
+impl WireElement for f64 {
+    fn submit(req: u64, func: u32, data: Vec<f64>, trace: Option<u64>) -> Frame {
+        Frame::SubmitF64 {
+            req,
+            func,
+            data,
+            trace,
+        }
+    }
+    fn result(req: u64, data: Vec<f64>) -> Frame {
+        Frame::ResultF64 { req, data }
+    }
+    fn payload(frame: Frame) -> Option<Vec<f64>> {
+        match frame {
+            Frame::ResultF64 { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+}
+
+impl WireElement for f32 {
+    fn submit(req: u64, func: u32, data: Vec<f32>, trace: Option<u64>) -> Frame {
+        Frame::SubmitF32 {
+            req,
+            func,
+            data,
+            trace,
+        }
+    }
+    fn result(req: u64, data: Vec<f32>) -> Frame {
+        Frame::ResultF32 { req, data }
+    }
+    fn payload(frame: Frame) -> Option<Vec<f32>> {
+        match frame {
+            Frame::ResultF32 { data, .. } => Some(data),
+            _ => None,
+        }
+    }
+}
+
+/// A completed job: its result frame (either precision) or the typed
+/// error that answered it.
+type JobResult = Result<Frame, WireError>;
 
 /// One unanswered request in the client's mux table.
 struct PendingEntry {
@@ -165,17 +217,7 @@ impl WireClient {
         data: Vec<f64>,
         trace: Option<u64>,
     ) -> Result<WireTicket, WireError> {
-        let (req, rx, acked) = self.register()?;
-        self.send(
-            &Frame::SubmitF64 {
-                req,
-                func,
-                data,
-                trace,
-            },
-            req,
-        )?;
-        Ok(WireTicket { rx, acked })
+        self.submit(func, data, trace)
     }
 
     /// Submits an f32 tensor for `func` and returns its ticket.
@@ -199,17 +241,23 @@ impl WireClient {
         data: Vec<f32>,
         trace: Option<u64>,
     ) -> Result<WireTicketF32, WireError> {
+        self.submit(func, data, trace)
+    }
+
+    /// Writes a submit of either precision and parks its ticket.
+    fn submit<T: WireElement>(
+        &self,
+        func: u32,
+        data: Vec<T>,
+        trace: Option<u64>,
+    ) -> Result<WireTicket<T>, WireError> {
         let (req, rx, acked) = self.register()?;
-        self.send(
-            &Frame::SubmitF32 {
-                req,
-                func,
-                data,
-                trace,
-            },
-            req,
-        )?;
-        Ok(WireTicketF32 { rx, acked })
+        self.send(&T::submit(req, func, data, trace), req)?;
+        Ok(WireTicket {
+            rx,
+            acked,
+            elem: PhantomData,
+        })
     }
 
     /// Health-checks the server: sends a ping and waits up to `timeout`
@@ -368,8 +416,9 @@ fn dispatch(frame: Frame, shared: &ClientShared) {
                 e.acked.store(true, Ordering::SeqCst);
             }
         }
-        Frame::ResultF64 { req, data } => complete(shared, req, Ok(Payload::F64(data))),
-        Frame::ResultF32 { req, data } => complete(shared, req, Ok(Payload::F32(data))),
+        result @ (Frame::ResultF64 { req, .. } | Frame::ResultF32 { req, .. }) => {
+            complete(shared, req, Ok(result));
+        }
         Frame::Error { req, code, detail } => {
             let err = WireError::from_code(code, detail);
             if req == 0 {
@@ -437,21 +486,20 @@ impl AckProbe {
     }
 }
 
-/// An in-flight f64 request. Wait (bounded or not) for the result;
-/// [`Self::was_acked`] reports whether the server accepted the job —
-/// the resubmission-safety predicate.
-pub struct WireTicket {
+/// An in-flight request (f64 by default; [`WireTicketF32`] for f32).
+/// Wait (bounded or not) for the result; [`Self::was_acked`] reports
+/// whether the server accepted the job — the resubmission-safety
+/// predicate.
+pub struct WireTicket<T = f64> {
     rx: oneshot::Receiver<JobResult>,
     acked: Arc<AtomicBool>,
+    elem: PhantomData<fn() -> T>,
 }
 
 /// An in-flight f32 request; see [`WireTicket`].
-pub struct WireTicketF32 {
-    rx: oneshot::Receiver<JobResult>,
-    acked: Arc<AtomicBool>,
-}
+pub type WireTicketF32 = WireTicket<f32>;
 
-impl WireTicket {
+impl<T: WireElement> WireTicket<T> {
     /// Whether the server's ack for this job has arrived.
     pub fn was_acked(&self) -> bool {
         self.acked.load(Ordering::SeqCst)
@@ -468,13 +516,9 @@ impl WireTicket {
     ///
     /// The server-reported rejection, or
     /// [`WireError::ConnectionClosed`] if the connection died first.
-    pub fn wait(self) -> Result<Vec<f64>, WireError> {
-        match self.rx.recv() {
-            Ok(Ok(Payload::F64(data))) => Ok(data),
-            Ok(Ok(Payload::F32(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
-            Err(oneshot::RecvError) => Err(WireError::ConnectionClosed),
-        }
+    pub fn wait(self) -> Result<Vec<T>, WireError> {
+        let result = self.rx.recv().map_err(|_| WireError::ConnectionClosed)?;
+        Self::unpack(result)
     }
 
     /// Blocks up to `timeout`; consumes the ticket either way (a timed
@@ -483,54 +527,17 @@ impl WireTicket {
     /// # Errors
     ///
     /// As [`Self::wait`], plus [`WireError::Timeout`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f64>, WireError> {
+    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<T>, WireError> {
         match self.rx.recv_timeout(timeout) {
-            Ok(Ok(Payload::F64(data))) => Ok(data),
-            Ok(Ok(Payload::F32(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
+            Ok(result) => Self::unpack(result),
             Err(oneshot::RecvTimeoutError::Timeout) => Err(WireError::Timeout),
             Err(oneshot::RecvTimeoutError::Disconnected) => Err(WireError::ConnectionClosed),
         }
     }
-}
 
-impl WireTicketF32 {
-    /// Whether the server's ack for this job has arrived.
-    pub fn was_acked(&self) -> bool {
-        self.acked.load(Ordering::SeqCst)
-    }
-
-    /// A probe of this request's ack state that outlives the ticket.
-    pub fn ack_probe(&self) -> AckProbe {
-        AckProbe(Arc::clone(&self.acked))
-    }
-
-    /// Blocks until the result (or a typed error) arrives.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireTicket::wait`].
-    pub fn wait(self) -> Result<Vec<f32>, WireError> {
-        match self.rx.recv() {
-            Ok(Ok(Payload::F32(data))) => Ok(data),
-            Ok(Ok(Payload::F64(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
-            Err(oneshot::RecvError) => Err(WireError::ConnectionClosed),
-        }
-    }
-
-    /// Blocks up to `timeout`; consumes the ticket either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`WireTicket::wait_timeout`].
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Vec<f32>, WireError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(Ok(Payload::F32(data))) => Ok(data),
-            Ok(Ok(Payload::F64(_))) => Err(WireError::UnexpectedPayload),
-            Ok(Err(e)) => Err(e),
-            Err(oneshot::RecvTimeoutError::Timeout) => Err(WireError::Timeout),
-            Err(oneshot::RecvTimeoutError::Disconnected) => Err(WireError::ConnectionClosed),
-        }
+    /// A result frame of the other precision is
+    /// [`WireError::UnexpectedPayload`].
+    fn unpack(result: JobResult) -> Result<Vec<T>, WireError> {
+        T::payload(result?).ok_or(WireError::UnexpectedPayload)
     }
 }

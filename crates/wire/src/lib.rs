@@ -24,6 +24,12 @@
 //!   path so a full queue answers a typed
 //!   [`WireError::RetryAfter`] hint instead of stalling the socket,
 //!   health pings, and a draining mode for handoff.
+//! * The connection core under both listeners: one acceptor that gives
+//!   each connection its own thread and joins finished threads while it
+//!   runs (so churn never accumulates handles or stacks, and a failed
+//!   spawn drops one stream instead of the listener), and one frame-read
+//!   loop that answers malformed bytes with a protocol error and hands
+//!   every decoded frame to the listener's handler.
 //! * [`WireClient`] — the matching client: submit returns a
 //!   [`WireTicket`] immediately, a reader thread completes tickets as
 //!   responses arrive, and the server's **ack** is observable
@@ -39,8 +45,8 @@
 //!   don't decode.
 //! * [`telemetry`] — the push pipeline's transport: a [`WireSink`]
 //!   shipping exporter batches as acknowledged `Stats` frames and the
-//!   [`TelemetryCollector`] that merges per-origin snapshots and
-//!   spans on the other end.
+//!   [`TelemetryCollector`] — a `Stats` handler on the same connection
+//!   core — that merges per-origin snapshots and spans on the other end.
 //!
 //! The sharded deployment layer (hash routing, health checks, draining
 //! handoff) lives one crate up in `flexsfu-shard`; this crate is the
@@ -78,6 +84,7 @@
 //! ```
 
 mod client;
+mod conn;
 mod error;
 pub mod frame;
 pub mod obs;

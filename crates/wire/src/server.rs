@@ -4,16 +4,27 @@
 //!
 //! # Connection anatomy
 //!
-//! Each accepted connection runs two threads:
+//! Connections come in through the crate's shared acceptor — the same
+//! one [`crate::TelemetryCollector`] runs on. It polls a non-blocking
+//! listener every 2 ms, gives each connection its own thread, and on
+//! every pass joins the threads that have finished, so a long-running
+//! server holds handles and stacks only for live connections. A spawn
+//! that fails (the process is at its thread limit) drops that one
+//! stream and keeps accepting. Shutdown sets a stop flag every
+//! connection checks between reads and joins the rest; a connection
+//! thread that panicked makes shutdown panic.
 //!
-//! * a **reader** that reassembles frames ([`crate::FrameReader`]),
-//!   admits submits through the serving handle's *non-blocking*
-//!   `try_submit` (a full queue answers a typed
-//!   [`crate::frame::ErrorCode::RetryAfter`] hint instead of stalling
-//!   the whole connection), answers health pings, and replies
+//! Each connection then runs two threads:
+//!
+//! * a **reader** — the shared frame-read loop, which reassembles
+//!   frames ([`crate::FrameReader`]) and replies
 //!   [`crate::frame::ErrorCode::Protocol`] then closes on malformed
-//!   bytes — torn frames and garbage never panic the server or leak the
-//!   connection;
+//!   bytes (torn frames and garbage never panic the server or leak the
+//!   connection) — feeding this server's handler, which admits submits
+//!   through the serving handle's *non-blocking* `try_submit` (a full
+//!   queue answers a typed [`crate::frame::ErrorCode::RetryAfter`]
+//!   hint instead of stalling the whole connection), answers health
+//!   pings and stats requests, and enters draining mode;
 //! * a **completion pump** that polls every accepted job's ticket
 //!   through a real [`std::task::Waker`] (the serve crate's oneshot
 //!   stores it, so the pump sleeps until a result lands) and writes
@@ -27,17 +38,18 @@
 //! precedes the job's own result on the wire (writes are serialized per
 //! connection), but carries no ordering relative to *other* requests.
 
-use crate::frame::{ErrorCode, Frame, FrameReader};
+use crate::client::WireElement;
+use crate::conn::{Acceptor, Conn, ConnWriter};
+use crate::frame::{ErrorCode, Frame};
 use crate::obs::WireObsState;
 use flexsfu_obs::{SpanCell, Stage};
-use flexsfu_serve::{FunctionId, JobTicket, JobTicketF32, ServeError, ServeHandle, ServeObs};
+use flexsfu_serve::{FunctionId, JobTicket, ServeError, ServeHandle, ServeObs};
 use std::future::Future;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Knobs for [`WireServer::start`].
@@ -61,51 +73,14 @@ impl Default for WireConfig {
     }
 }
 
-/// Connection-count gauge with a condvar so shutdown (and leak tests)
-/// can wait for it to reach zero instead of polling.
-#[derive(Default)]
-struct ConnGauge {
-    count: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl ConnGauge {
-    fn enter(&self) {
-        *self.count.lock().unwrap() += 1;
-    }
-
-    fn exit(&self) {
-        let mut c = self.count.lock().unwrap();
-        *c -= 1;
-        if *c == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn current(&self) -> usize {
-        *self.count.lock().unwrap()
-    }
-
-    fn wait_zero(&self, timeout: Duration) -> bool {
-        let (guard, res) = self
-            .zero
-            .wait_timeout_while(self.count.lock().unwrap(), timeout, |c| *c > 0)
-            .unwrap();
-        drop(guard);
-        !res.timed_out()
-    }
-}
-
-/// State shared by the listener and every connection.
+/// State shared by every connection.
 struct ServerShared {
     handle: ServeHandle,
     config: WireConfig,
-    stop: AtomicBool,
     draining: AtomicBool,
     /// Wire jobs accepted (acked) but not yet answered, server-wide —
     /// reported in pongs so a router can wait out a drain.
     inflight: AtomicU64,
-    conns: ConnGauge,
     /// Pre-resolved telemetry handles; `None` runs the exact
     /// pre-observability hot path.
     obs: Option<Arc<WireObsState>>,
@@ -117,9 +92,7 @@ struct ServerShared {
 /// [`WireServer::local_addr`]). Dropping the server shuts it down.
 pub struct WireServer {
     shared: Arc<ServerShared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    acceptor: Acceptor,
 }
 
 impl WireServer {
@@ -180,33 +153,24 @@ impl WireServer {
         config: WireConfig,
         obs: Option<Arc<WireObsState>>,
     ) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             handle,
             config,
-            stop: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             inflight: AtomicU64::new(0),
-            conns: ConnGauge::default(),
             obs,
         });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
+        let acceptor = {
             let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::Builder::new()
-                .name("flexsfu-wire-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &conn_threads))
-                .expect("spawn accept thread")
+            Acceptor::start(
+                addr,
+                "flexsfu-wire",
+                shared.config.poll_interval,
+                shared.obs.clone(),
+                move |conn| serve_conn(conn, &shared),
+            )?
         };
-        Ok(Self {
-            shared,
-            addr,
-            accept: Some(accept),
-            conn_threads,
-        })
+        Ok(Self { shared, acceptor })
     }
 
     /// [`Self::start`] on `127.0.0.1:0` — the in-process deployment
@@ -221,7 +185,7 @@ impl WireServer {
 
     /// The bound address (with the resolved ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Puts the server into draining mode: new submissions answer
@@ -246,80 +210,34 @@ impl WireServer {
     /// Currently open connections — the leak gauge the protocol suite
     /// checks after torn-frame and garbage-input cases.
     pub fn active_connections(&self) -> usize {
-        self.shared.conns.current()
+        self.acceptor.open()
     }
 
     /// Stops accepting, closes every connection (accepted jobs are
     /// still answered first — the pump drains before closing), and
-    /// joins all threads. Equivalent to drop, but explicit.
+    /// joins all threads. Dropping the server does the same, except
+    /// that only `shutdown` reports a connection thread's panic.
+    ///
+    /// # Panics
+    ///
+    /// If a connection thread panicked.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            t.join().expect("wire accept thread panicked");
-        }
-        let threads: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
-        for t in threads {
-            t.join().expect("wire connection thread panicked");
-        }
-        debug_assert!(self.shared.conns.wait_zero(Duration::from_secs(1)));
-    }
-}
-
-impl Drop for WireServer {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-/// Accepts until stopped. Non-blocking accept + sleep keeps this
-/// std-only (no self-connect tricks); the poll interval bounds both
-/// accept latency and shutdown latency.
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<ServerShared>,
-    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                shared.conns.enter();
-                let t = std::thread::Builder::new()
-                    .name("flexsfu-wire-conn".into())
-                    .spawn(move || {
-                        connection_loop(stream, &shared);
-                        shared.conns.exit();
-                    })
-                    .expect("spawn connection thread");
-                conn_threads.lock().unwrap().push(t);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Transient accept errors (peer vanished mid-handshake):
-            // keep serving.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
+        self.acceptor
+            .stop()
+            .expect("wire connection thread panicked");
     }
 }
 
 /// One accepted job awaiting its result in the pump.
 struct PendingJob {
-    req: u64,
     /// Clock read at the ack write (0 when the server runs without
     /// observability) — the start of the ack→answer histogram window.
     t_ack: u64,
-    ticket: Ticket,
-}
-
-/// The parked ticket, either precision lane.
-enum Ticket {
-    F64(JobTicket),
-    F32(JobTicketF32),
+    /// The job's trace cell, stamped when the answer is written.
+    span: Option<Arc<SpanCell>>,
+    /// The serve ticket, mapped onto the job's reply frame (either
+    /// precision).
+    reply: Pin<Box<dyn Future<Output = Frame> + Send>>,
 }
 
 /// The pump's shared state: tickets parked for completion, plus the
@@ -379,54 +297,23 @@ impl Wake for PumpWaker {
     }
 }
 
-/// Serialized frame writes over one connection. Outbound telemetry
-/// (frames, bytes, per-code errors) is counted here, at the single
-/// choke point every reply funnels through.
-struct ConnWriter {
-    stream: Mutex<TcpStream>,
-    obs: Option<Arc<WireObsState>>,
-}
-
-impl ConnWriter {
-    /// Writes one frame; an `Err` means the connection is dead (the
-    /// caller stops using it — the peer is gone, nothing to report).
-    fn send(&self, frame: &Frame) -> std::io::Result<()> {
-        let bytes = frame.encode();
-        if let Some(o) = &self.obs {
-            o.count_outbound(frame, bytes.len());
-        }
-        let mut s = self.stream.lock().unwrap();
-        s.write_all(&bytes)
-    }
-}
-
-/// The per-connection reader: frames in, admissions + control out.
-/// Returns only when the peer closed, a protocol error desynced the
-/// stream, or the server stopped — always after joining its pump, so a
-/// returned reader means the connection is fully retired.
-fn connection_loop(stream: TcpStream, shared: &Arc<ServerShared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let writer = Arc::new(ConnWriter {
-        stream: match stream.try_clone() {
-            Ok(s) => Mutex::new(s),
-            Err(_) => return,
-        },
-        obs: shared.obs.clone(),
-    });
-
+/// One connection: the shared frame-read loop feeds [`handle_frame`]
+/// while a completion pump writes results back. Returns only after
+/// joining the pump, so a returned connection is fully retired.
+fn serve_conn(conn: Conn, shared: &Arc<ServerShared>) {
     let pump = Pump::new();
     let pump_thread = {
         let pump = Arc::clone(&pump);
-        let writer = Arc::clone(&writer);
+        let writer = Arc::clone(&conn.writer);
         let shared = Arc::clone(shared);
         std::thread::Builder::new()
             .name("flexsfu-wire-pump".into())
             .spawn(move || pump_loop(&pump, &writer, &shared))
-            .expect("spawn pump thread")
     };
+    // No pump thread (EAGAIN): close the connection before reading.
+    let Ok(pump_thread) = pump_thread else { return };
 
-    read_frames(stream, shared, &writer, &pump);
+    conn.read_frames(|frame, writer| handle_frame(frame, shared, writer, &pump));
 
     // Reader done (peer gone, protocol error, or stop): let the pump
     // finish answering accepted jobs, then retire the connection.
@@ -434,106 +321,31 @@ fn connection_loop(stream: TcpStream, shared: &Arc<ServerShared>) {
     pump_thread.join().expect("wire pump thread panicked");
 }
 
-/// The reader half of [`connection_loop`], separated so every exit path
-/// funnels through the pump teardown above.
-fn read_frames(
-    mut stream: TcpStream,
-    shared: &Arc<ServerShared>,
-    writer: &ConnWriter,
-    pump: &Arc<Pump>,
-) {
-    let mut reader = FrameReader::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // peer closed
-            Ok(n) => {
-                if let Some(o) = &shared.obs {
-                    o.bytes_in.add(n as u64);
-                }
-                reader.feed(&chunk[..n]);
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        loop {
-            match reader.next_frame() {
-                Ok(Some(frame)) => {
-                    if let Some(o) = &shared.obs {
-                        o.frames_in.inc();
-                    }
-                    if !handle_frame(frame, shared, writer, pump) {
-                        return;
-                    }
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    // Malformed bytes: typed protocol reply, then close.
-                    // The stream is desynced, so nothing else is safe.
-                    let _ = writer.send(&Frame::Error {
-                        req: 0,
-                        code: ErrorCode::Protocol,
-                        detail: 0,
-                    });
-                    return;
-                }
-            }
-        }
-    }
-}
-
 /// Dispatches one inbound frame; `false` closes the connection.
-fn handle_frame(
-    frame: Frame,
-    shared: &Arc<ServerShared>,
-    writer: &ConnWriter,
-    pump: &Arc<Pump>,
-) -> bool {
+fn handle_frame(frame: Frame, shared: &ServerShared, writer: &ConnWriter, pump: &Pump) -> bool {
     match frame {
+        // The decoded trace tail rides into the serving tier so the
+        // shard-side recorder adopts the router-minted id.
         Frame::SubmitF64 {
             req,
             func,
             data,
             trace,
-        } => {
-            if refuse_if_draining(req, shared, writer) {
-                return true;
-            }
-            // The decoded trace tail rides into the serving tier so the
-            // shard-side recorder adopts the router-minted id.
-            match shared
+        } => admit(req, shared, writer, pump, || {
+            shared
                 .handle
                 .try_submit_traced(FunctionId(func), data, trace)
-            {
-                Ok(ticket) => accept(req, Ticket::F64(ticket), shared, writer, pump),
-                Err(e) => writer.send(&submit_error(req, &e, shared)).is_ok(),
-            }
-        }
+        }),
         Frame::SubmitF32 {
             req,
             func,
             data,
             trace,
-        } => {
-            if refuse_if_draining(req, shared, writer) {
-                return true;
-            }
-            match shared
+        } => admit(req, shared, writer, pump, || {
+            shared
                 .handle
                 .try_submit_f32_traced(FunctionId(func), data, trace)
-            {
-                Ok(ticket) => accept(req, Ticket::F32(ticket), shared, writer, pump),
-                Err(e) => writer.send(&submit_error(req, &e, shared)).is_ok(),
-            }
-        }
+        }),
         Frame::Ping { nonce } => {
             let depth = shared.handle.queue_depth();
             // The telemetry tail reads the serving tier's own series —
@@ -579,40 +391,32 @@ fn handle_frame(
         | Frame::Error { .. }
         | Frame::Pong { .. }
         | Frame::Stats { .. } => {
-            let _ = writer.send(&Frame::Error {
-                req: 0,
-                code: ErrorCode::Protocol,
-                detail: 0,
-            });
+            let _ = writer.error(0, ErrorCode::Protocol);
             false
         }
     }
 }
 
-/// Answers a submit with [`ErrorCode::Draining`] when draining; returns
-/// whether the submit was refused.
-fn refuse_if_draining(req: u64, shared: &ServerShared, writer: &ConnWriter) -> bool {
-    if shared.draining.load(Ordering::SeqCst) {
-        let _ = writer.send(&Frame::Error {
-            req,
-            code: ErrorCode::Draining,
-            detail: 0,
-        });
-        return true;
-    }
-    false
-}
-
-/// Acks an admitted job and parks its ticket in the pump. The ack is
+/// Admits one submit: refuses it with [`ErrorCode::Draining`] when
+/// draining, answers an admission error with its typed reply, and
+/// otherwise acks the job and parks its ticket in the pump. The ack is
 /// written *before* the ticket is parked, so a job's ack always
 /// precedes its result on the wire.
-fn accept(
+fn admit<T: WireElement>(
     req: u64,
-    ticket: Ticket,
     shared: &ServerShared,
     writer: &ConnWriter,
     pump: &Pump,
+    submit: impl FnOnce() -> Result<JobTicket<T>, ServeError>,
 ) -> bool {
+    if shared.draining.load(Ordering::SeqCst) {
+        let _ = writer.error(req, ErrorCode::Draining);
+        return true;
+    }
+    let ticket = match submit() {
+        Ok(ticket) => ticket,
+        Err(e) => return writer.send(&submit_error(req, &e, shared)).is_ok(),
+    };
     if writer.send(&Frame::Ack { req }).is_err() {
         // Peer is gone before the ack: the job was never accepted from
         // the protocol's point of view; dropping the ticket abandons
@@ -621,7 +425,21 @@ fn accept(
     }
     let t_ack = shared.obs.as_ref().map_or(0, |o| o.now_ns());
     shared.inflight.fetch_add(1, Ordering::SeqCst);
-    pump.add(PendingJob { req, t_ack, ticket });
+    let span = ticket.span().cloned();
+    // A `Disconnected` ticket (an evaluation-side failure, e.g. the
+    // testkit's drop-before-reply fault) answers
+    // [`ErrorCode::Internal`] — accepted jobs are always answered.
+    let reply = Box::pin(async move {
+        match ticket.await {
+            Ok(data) => T::result(req, data),
+            Err(_) => Frame::Error {
+                req,
+                code: ErrorCode::Internal,
+                detail: 0,
+            },
+        }
+    });
+    pump.add(PendingJob { t_ack, span, reply });
     true
 }
 
@@ -670,88 +488,29 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
         };
 
         let mut still_pending = Vec::with_capacity(batch.len());
-        for job in batch.drain(..) {
-            match poll_job(job, &mut cx) {
-                Ok((frame, t_ack, span)) => {
-                    // A dead socket is fine — the peer stopped caring;
-                    // the job itself completed and is no longer
-                    // in flight either way.
-                    let _ = writer.send(&frame);
-                    if let Some(o) = &shared.obs {
-                        let now = o.now_ns();
-                        if t_ack != 0 {
-                            o.ack_to_result_ns.record(now.saturating_sub(t_ack));
-                        }
-                        if let Some(cell) = &span {
-                            cell.record(Stage::WireWrite, now);
-                        }
-                    }
-                    shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        for mut job in batch.drain(..) {
+            let Poll::Ready(frame) = job.reply.as_mut().poll(&mut cx) else {
+                still_pending.push(job);
+                continue;
+            };
+            // A dead socket is fine — the peer stopped caring; the job
+            // itself completed and is no longer in flight either way.
+            let _ = writer.send(&frame);
+            if let Some(o) = &shared.obs {
+                let now = o.now_ns();
+                if job.t_ack != 0 {
+                    o.ack_to_result_ns.record(now.saturating_sub(job.t_ack));
                 }
-                Err(job) => still_pending.push(job),
+                if let Some(cell) = &job.span {
+                    cell.record(Stage::WireWrite, now);
+                }
             }
+            shared.inflight.fetch_sub(1, Ordering::SeqCst);
         }
 
         let mut g = pump.inner.lock().unwrap();
         // New arrivals were appended while we polled; keep both.
         still_pending.append(&mut g.pending);
         g.pending = still_pending;
-    }
-}
-
-/// Polls one parked job: `Ok((reply frame, ack stamp, span))` when
-/// complete, `Err(job)` to re-park. A `Disconnected` ticket (an
-/// evaluation-side failure, e.g. the testkit's drop-before-reply
-/// fault) answers [`ErrorCode::Internal`] — accepted jobs are always
-/// answered.
-#[allow(clippy::type_complexity)]
-fn poll_job(
-    job: PendingJob,
-    cx: &mut Context<'_>,
-) -> Result<(Frame, u64, Option<Arc<SpanCell>>), PendingJob> {
-    let PendingJob { req, t_ack, ticket } = job;
-    match ticket {
-        Ticket::F64(mut ticket) => match std::pin::Pin::new(&mut ticket).poll(cx) {
-            Poll::Ready(Ok(data)) => Ok((
-                Frame::ResultF64 { req, data },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Ready(Err(_)) => Ok((
-                Frame::Error {
-                    req,
-                    code: ErrorCode::Internal,
-                    detail: 0,
-                },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Pending => Err(PendingJob {
-                req,
-                t_ack,
-                ticket: Ticket::F64(ticket),
-            }),
-        },
-        Ticket::F32(mut ticket) => match std::pin::Pin::new(&mut ticket).poll(cx) {
-            Poll::Ready(Ok(data)) => Ok((
-                Frame::ResultF32 { req, data },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Ready(Err(_)) => Ok((
-                Frame::Error {
-                    req,
-                    code: ErrorCode::Internal,
-                    detail: 0,
-                },
-                t_ack,
-                ticket.span().cloned(),
-            )),
-            Poll::Pending => Err(PendingJob {
-                req,
-                t_ack,
-                ticket: Ticket::F32(ticket),
-            }),
-        },
     }
 }

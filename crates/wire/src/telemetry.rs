@@ -7,29 +7,35 @@
 //! same frame a scrape answer uses, flowing the other way) and waits
 //! for the collector's [`Frame::Ack`] — delivery is confirmed, not
 //! fire-and-forget, so the exporter's retry/backoff accounting is
-//! truthful. The [`TelemetryCollector`] is a tiny TCP listener that
-//! decodes batches, keeps the **latest** cumulative snapshot per
-//! origin (counters are cumulative; summing overlapping batches would
-//! double-count), **appends** spans (batches partition the span
-//! stream), and can merge everything into one origin-labelled
-//! [`MetricsSnapshot`] or feed a [`TraceAssembler`] for cross-process
-//! waterfalls.
+//! truthful. The [`TelemetryCollector`] decodes batches, keeps the
+//! **latest** cumulative snapshot per origin (counters are cumulative;
+//! summing overlapping batches would double-count), **appends** spans
+//! (batches partition the span stream), and can merge everything into
+//! one origin-labelled [`MetricsSnapshot`] or feed a
+//! [`TraceAssembler`] for cross-process waterfalls.
+//!
+//! The collector is not a second server: it is a `Stats` handler on
+//! the connection core [`crate::WireServer`] runs on — the same
+//! acceptor (2 ms accept poll, one thread per connection, finished
+//! threads reaped on every pass, stop-and-join shutdown), the same
+//! frame-read loop (malformed bytes answer a protocol error and
+//! close), and the same serialized frame writer. Only what it does
+//! with a decoded frame is its own.
 //!
 //! Failure semantics match the exporter's contract: a dead or slow
 //! collector surfaces as a [`SinkError`] (the sink reconnects lazily
 //! on the next ship), the exporter buffers and eventually drops with
 //! counted loss, and the serving hot path never notices any of it.
 
+use crate::conn::{Acceptor, ConnWriter};
 use crate::frame::{ErrorCode, Frame, FrameReader};
 use flexsfu_obs::{
     MetricsSnapshot, SinkError, Span, TelemetryBatch, TelemetrySink, TraceAssembler,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A [`TelemetrySink`] that ships batches to a [`TelemetryCollector`]
@@ -158,11 +164,9 @@ struct CollectorState {
     batches: u64,
 }
 
-struct CollectorShared {
-    stop: AtomicBool,
-    poll_interval: Duration,
-    state: Mutex<CollectorState>,
-}
+/// How long a collector connection's read waits before re-checking the
+/// stop flag.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// The receiving end of the push pipeline: accepts [`WireSink`]
 /// connections, acks each decoded [`TelemetryBatch`], and merges
@@ -170,10 +174,8 @@ struct CollectorShared {
 /// killed collector is exactly the failure the exporter's bounded
 /// buffer absorbs.
 pub struct TelemetryCollector {
-    shared: Arc<CollectorShared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    state: Arc<Mutex<CollectorState>>,
+    acceptor: Acceptor,
 }
 
 impl TelemetryCollector {
@@ -183,29 +185,20 @@ impl TelemetryCollector {
     ///
     /// The bind error, if the address is unavailable.
     pub fn start(addr: SocketAddr) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shared = Arc::new(CollectorShared {
-            stop: AtomicBool::new(false),
-            poll_interval: Duration::from_millis(20),
-            state: Mutex::new(CollectorState::default()),
-        });
-        let conn_threads = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = Arc::clone(&shared);
-            let conn_threads = Arc::clone(&conn_threads);
-            std::thread::Builder::new()
-                .name("flexsfu-collector".into())
-                .spawn(move || accept_loop(&listener, &shared, &conn_threads))
-                .expect("spawn collector accept thread")
+        let state = Arc::new(Mutex::new(CollectorState::default()));
+        let acceptor = {
+            let state = Arc::clone(&state);
+            Acceptor::start(
+                addr,
+                "flexsfu-collector",
+                POLL_INTERVAL,
+                None,
+                move |conn| {
+                    conn.read_frames(|frame, writer| collect(frame, &state, writer));
+                },
+            )?
         };
-        Ok(Self {
-            shared,
-            addr,
-            accept: Some(accept),
-            conn_threads,
-        })
+        Ok(Self { state, acceptor })
     }
 
     /// [`Self::start`] on `127.0.0.1:0`.
@@ -219,17 +212,17 @@ impl TelemetryCollector {
 
     /// The bound address (hand this to [`WireSink::new`]).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// Batches successfully decoded and acked so far.
     pub fn batches_received(&self) -> u64 {
-        self.shared.state.lock().unwrap().batches
+        self.state.lock().unwrap().batches
     }
 
     /// Origins that have shipped at least one batch, sorted.
     pub fn origins(&self) -> Vec<String> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.state.lock().unwrap();
         let mut o: Vec<String> = st.snapshots.keys().cloned().collect();
         o.sort();
         o
@@ -237,13 +230,13 @@ impl TelemetryCollector {
 
     /// The latest cumulative snapshot shipped by `origin`, if any.
     pub fn snapshot_for(&self, origin: &str) -> Option<MetricsSnapshot> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.state.lock().unwrap();
         st.snapshots.get(origin).map(|(_, s)| s.clone())
     }
 
     /// Every span `origin` has shipped, in ship order.
     pub fn spans_for(&self, origin: &str) -> Vec<Span> {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.state.lock().unwrap();
         st.spans.get(origin).cloned().unwrap_or_default()
     }
 
@@ -251,7 +244,7 @@ impl TelemetryCollector {
     /// `origin="…"` and merged — the collector-side equivalent of the
     /// shard router's `scrape_all`.
     pub fn merged(&self) -> MetricsSnapshot {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.state.lock().unwrap();
         let mut keys: Vec<&String> = st.snapshots.keys().collect();
         keys.sort();
         let mut out = MetricsSnapshot::new();
@@ -264,7 +257,7 @@ impl TelemetryCollector {
     /// A [`TraceAssembler`] over every origin's shipped spans — the
     /// collector-side path to cross-process waterfalls.
     pub fn assembler(&self) -> TraceAssembler {
-        let st = self.shared.state.lock().unwrap();
+        let st = self.state.lock().unwrap();
         let mut keys: Vec<&String> = st.spans.keys().collect();
         keys.sort();
         let mut asm = TraceAssembler::new();
@@ -274,132 +267,39 @@ impl TelemetryCollector {
         asm
     }
 
-    /// Stops accepting, closes connections, joins threads. Equivalent
-    /// to drop, but explicit.
+    /// Stops accepting, closes connections, joins threads. Dropping
+    /// the collector does the same, except that only `shutdown` reports
+    /// a connection thread's panic.
+    ///
+    /// # Panics
+    ///
+    /// If a connection thread panicked.
     pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
-
-    fn shutdown_inner(&mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept.take() {
-            t.join().expect("collector accept thread panicked");
-        }
-        let threads: Vec<_> = self.conn_threads.lock().unwrap().drain(..).collect();
-        for t in threads {
-            t.join().expect("collector connection thread panicked");
-        }
+        self.acceptor
+            .stop()
+            .expect("collector connection thread panicked");
     }
 }
 
-impl Drop for TelemetryCollector {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<CollectorShared>,
-    conn_threads: &Mutex<Vec<JoinHandle<()>>>,
-) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                let t = std::thread::Builder::new()
-                    .name("flexsfu-collector-conn".into())
-                    .spawn(move || connection_loop(stream, &shared))
-                    .expect("spawn collector connection thread");
-                conn_threads.lock().unwrap().push(t);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+/// One exporter frame: a `Stats` batch is merged and acked; any other
+/// frame closes the connection with a typed protocol error.
+fn collect(frame: Frame, state: &Mutex<CollectorState>, writer: &ConnWriter) -> bool {
+    let Frame::Stats { nonce, snapshot } = frame else {
+        // Only Stats frames belong on a telemetry connection.
+        let _ = writer.error(0, ErrorCode::Protocol);
+        return false;
+    };
+    let reply = match TelemetryBatch::decode(&snapshot) {
+        Ok(batch) => {
+            apply(&mut state.lock().unwrap(), batch);
+            writer.send(&Frame::Ack { req: nonce })
         }
-    }
-}
-
-/// One exporter connection: `Stats` frames in, acks out. Torn frames
-/// and garbage close the connection with a typed protocol error —
-/// exactly the serving front-end's discipline.
-fn connection_loop(mut stream: TcpStream, shared: &CollectorShared) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.poll_interval));
-    let mut reader = FrameReader::new();
-    let mut chunk = [0u8; 64 * 1024];
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => reader.feed(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return,
-        }
-        loop {
-            match reader.next_frame() {
-                Ok(Some(Frame::Stats { nonce, snapshot })) => {
-                    match TelemetryBatch::decode(&snapshot) {
-                        Ok(batch) => {
-                            apply(&mut shared.state.lock().unwrap(), batch);
-                            if stream
-                                .write_all(&Frame::Ack { req: nonce }.encode())
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            // A well-framed Stats whose blob is not a
-                            // batch: refuse it but keep the connection —
-                            // the framing is intact, later batches may
-                            // be fine.
-                            let refuse = Frame::Error {
-                                req: nonce,
-                                code: ErrorCode::Protocol,
-                                detail: 0,
-                            };
-                            if stream.write_all(&refuse.encode()).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                }
-                Ok(Some(_)) => {
-                    // Only Stats frames belong on a telemetry connection.
-                    let _ = stream.write_all(
-                        &Frame::Error {
-                            req: 0,
-                            code: ErrorCode::Protocol,
-                            detail: 0,
-                        }
-                        .encode(),
-                    );
-                    return;
-                }
-                Ok(None) => break,
-                Err(_) => {
-                    let _ = stream.write_all(
-                        &Frame::Error {
-                            req: 0,
-                            code: ErrorCode::Protocol,
-                            detail: 0,
-                        }
-                        .encode(),
-                    );
-                    return;
-                }
-            }
-        }
-    }
+        // A well-framed Stats whose blob is not a batch: refuse it but
+        // keep the connection — the framing is intact, later batches
+        // may be fine.
+        Err(_) => writer.error(nonce, ErrorCode::Protocol),
+    };
+    reply.is_ok()
 }
 
 /// Folds one decoded batch into the collector state: snapshots
