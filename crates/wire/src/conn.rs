@@ -1,13 +1,32 @@
 //! The connection core both listeners run on: one [`Acceptor`] that
 //! spawns a thread per connection and reaps the finished ones, and one
 //! frame-read loop ([`Conn::read_frames`]) that hands each decoded
-//! frame to a per-listener handler.
+//! frame to a per-listener [`Handler`].
 //!
 //! [`crate::WireServer`] plugs in the submit/ping/stats/drain dispatch
 //! plus its completion pump; [`crate::TelemetryCollector`] plugs in a
 //! `Stats` handler. Everything else — binding, the accept poll, socket
 //! options, the stop flag, the open-connection gauge, the malformed-byte
-//! reply, shutdown — lives here once.
+//! reply, reply coalescing, shutdown — lives here once.
+//!
+//! # When replies are written
+//!
+//! A handler never writes: it queues its replies on an [`Outbox`], and
+//! the read loop writes the outbox with one `write_all`
+//! ([`ConnWriter::write`]) at three points:
+//!
+//! * after every complete frame of one socket read has been handled —
+//!   so a read of N pipelined submits costs one reply write, not N;
+//! * before it handles any frame that is not a submit, so a `Ping`,
+//!   `StatsRequest` or `Drain` sees every earlier submit of the same
+//!   read already answered;
+//! * before any close — a protocol error, a handler's `false` — so
+//!   pending replies are never lost to the close. (The stop flag is
+//!   checked only between reads, when nothing is pending.)
+//!
+//! Replies keep the order of the frames that caused them. After each
+//! successful write the loop calls [`Handler::written`]; a failed write
+//! ends the connection without it.
 
 use crate::frame::{ErrorCode, Frame, FrameReader};
 use crate::obs::WireObsState;
@@ -183,33 +202,85 @@ fn accept_loop<F: Fn(Conn) + Send + Sync + 'static>(
     }
 }
 
-/// Serialized frame writes over one connection. Outbound telemetry
-/// (frames, bytes, per-code errors) is counted here, at the single
-/// choke point every reply funnels through.
+/// Reply frames encoded for one socket write, plus the outbound
+/// telemetry they count once written. Reused across writes: clearing
+/// keeps the buffer's capacity.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    bytes: Vec<u8>,
+    frames: u64,
+    /// Codes of the queued [`Frame::Error`]s, for the per-code series.
+    errors: Vec<ErrorCode>,
+}
+
+impl Outbox {
+    /// Queues `frame` behind everything already queued.
+    pub(crate) fn push(&mut self, frame: &Frame) {
+        frame.encode_into(&mut self.bytes);
+        self.frames += 1;
+        if let Frame::Error { code, .. } = frame {
+            self.errors.push(*code);
+        }
+    }
+
+    /// Queues a detail-less [`Frame::Error`] for `req` (0 for a
+    /// connection-level error).
+    pub(crate) fn error(&mut self, req: u64, code: ErrorCode) {
+        self.push(&Frame::Error {
+            req,
+            code,
+            detail: 0,
+        });
+    }
+}
+
+/// Serialized writes over one connection. Outbound telemetry (writes,
+/// frames, bytes, per-code errors) is counted here, at the single choke
+/// point every reply funnels through, and only for writes that
+/// succeeded.
 pub(crate) struct ConnWriter {
     stream: Mutex<TcpStream>,
     obs: Option<Arc<WireObsState>>,
 }
 
 impl ConnWriter {
-    /// Writes one frame; an `Err` means the connection is dead (the
-    /// caller stops using it — the peer is gone, nothing to report).
-    pub(crate) fn send(&self, frame: &Frame) -> std::io::Result<()> {
-        let bytes = frame.encode();
-        if let Some(o) = &self.obs {
-            o.count_outbound(frame, bytes.len());
+    /// Writes every frame queued on `out` with one `write_all`, then
+    /// empties it; an empty outbox writes nothing. An `Err` means the
+    /// connection is dead (the caller stops using it — the peer is
+    /// gone, nothing to report).
+    pub(crate) fn write(&self, out: &mut Outbox) -> std::io::Result<()> {
+        if out.frames == 0 {
+            return Ok(());
         }
-        self.stream.lock().unwrap().write_all(&bytes)
+        let written = self
+            .stream
+            .lock()
+            .expect("no writer panics while holding the stream")
+            .write_all(&out.bytes);
+        if let (Ok(()), Some(o)) = (&written, &self.obs) {
+            o.count_write(out.frames, out.bytes.len(), &out.errors);
+        }
+        out.bytes.clear();
+        out.frames = 0;
+        out.errors.clear();
+        written
     }
+}
 
-    /// Writes a detail-less [`Frame::Error`] for `req` (0 for a
-    /// connection-level error).
-    pub(crate) fn error(&self, req: u64, code: ErrorCode) -> std::io::Result<()> {
-        self.send(&Frame::Error {
-            req,
-            code,
-            detail: 0,
-        })
+/// A listener's per-connection protocol, driven by
+/// [`Conn::read_frames`].
+pub(crate) trait Handler {
+    /// Handles one decoded frame, queueing its replies on `out`;
+    /// `false` closes the connection once `out` is written.
+    fn frame(&mut self, frame: Frame, out: &mut Outbox) -> bool;
+
+    /// Runs after each successful write of the queued replies.
+    fn written(&mut self) {}
+}
+
+impl<F: FnMut(Frame, &mut Outbox) -> bool> Handler for F {
+    fn frame(&mut self, frame: Frame, out: &mut Outbox) -> bool {
+        self(frame, out)
     }
 }
 
@@ -236,16 +307,17 @@ impl Conn {
         })
     }
 
-    /// Reads frames and hands each to `on_frame` until the peer closes,
-    /// the socket errors, the acceptor stops, or `on_frame` returns
-    /// `false`. Malformed bytes answer a req-0 [`ErrorCode::Protocol`]
-    /// and close: the stream is desynced, so nothing after them is
-    /// safe. Torn frames and garbage never panic or leak the
-    /// connection.
-    pub(crate) fn read_frames(mut self, mut on_frame: impl FnMut(Frame, &ConnWriter) -> bool) {
+    /// Reads frames and hands each to `handler` until the peer closes,
+    /// the socket errors, the acceptor stops, or the handler returns
+    /// `false`. Replies are written as the module docs describe.
+    /// Malformed bytes answer a req-0 [`ErrorCode::Protocol`] and close:
+    /// the stream is desynced, so nothing after them is safe. Torn
+    /// frames and garbage never panic or leak the connection.
+    pub(crate) fn read_frames(mut self, mut handler: impl Handler) {
         let obs = self.writer.obs.as_deref();
         let mut reader = FrameReader::new();
         let mut chunk = [0u8; CHUNK];
+        let mut out = Outbox::default();
         loop {
             if self.core.stop.load(Ordering::SeqCst) {
                 return;
@@ -266,24 +338,42 @@ impl Conn {
                 }
                 Err(_) => return,
             }
-            loop {
+            let open = loop {
                 match reader.next_frame() {
                     Ok(Some(frame)) => {
                         if let Some(o) = obs {
                             o.frames_in.inc();
                         }
-                        if !on_frame(frame, &self.writer) {
+                        let submit =
+                            matches!(frame, Frame::SubmitF64 { .. } | Frame::SubmitF32 { .. });
+                        if !submit && !self.write(&mut out, &mut handler) {
                             return;
                         }
+                        if !handler.frame(frame, &mut out) {
+                            break false;
+                        }
                     }
-                    Ok(None) => break,
+                    Ok(None) => break true,
                     Err(_) => {
-                        let _ = self.writer.error(0, ErrorCode::Protocol);
-                        return;
+                        out.error(0, ErrorCode::Protocol);
+                        break false;
                     }
                 }
+            };
+            if !self.write(&mut out, &mut handler) || !open {
+                return;
             }
         }
+    }
+
+    /// Writes the queued replies and, on success, tells the handler.
+    /// `false` means the connection is dead.
+    fn write(&self, out: &mut Outbox, handler: &mut impl Handler) -> bool {
+        let ok = self.writer.write(out).is_ok();
+        if ok {
+            handler.written();
+        }
+        ok
     }
 }
 

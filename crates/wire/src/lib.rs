@@ -28,8 +28,9 @@
 //!   each connection its own thread and joins finished threads while it
 //!   runs (so churn never accumulates handles or stacks, and a failed
 //!   spawn drops one stream instead of the listener), and one frame-read
-//!   loop that answers malformed bytes with a protocol error and hands
-//!   every decoded frame to the listener's handler.
+//!   loop that answers malformed bytes with a protocol error, hands
+//!   every decoded frame to the listener's handler, and writes the
+//!   replies of one socket read with one write.
 //! * [`WireClient`] — the matching client: submit returns a
 //!   [`WireTicket`] immediately, a reader thread completes tickets as
 //!   responses arrive, and the server's **ack** is observable
@@ -38,7 +39,7 @@
 //! * [`WireError`] — every failure as a typed value, with
 //!   [`WireError::is_retryable`] as the failover predicate.
 //! * [`obs`] — the wire tier's telemetry names and its
-//!   [`flexsfu_obs`] wiring: frame/byte/error counters, the
+//!   [`flexsfu_obs`] wiring: frame/byte/write/error counters, the
 //!   ack-to-result latency histogram, `Frame::Stats` carrying a whole
 //!   metrics snapshot over the wire, and the extended `Pong` health
 //!   tail (queue depth, flushes, eval p99) that older peers simply

@@ -2,15 +2,16 @@
 //! pre-resolved handle bundle its connection threads record through.
 //!
 //! A server started with [`crate::WireServer::start_with_obs`] counts
-//! every frame and byte in both directions, classifies protocol errors
-//! by code, and times the ack→answer window per accepted job. It also
+//! every frame and byte in both directions and every socket write out,
+//! classifies protocol errors by code, and times the ack→answer window
+//! per accepted job. It also
 //! reads back two serving-tier series ([`flexsfu_serve::obs`]) to fill
 //! the telemetry tail of [`crate::Frame::Pong`], and serves the whole
 //! registry as a [`crate::Frame::Stats`] snapshot — which is why the
 //! wire server takes the *same* [`flexsfu_serve::ServeObs`] bundle as
 //! the serving engine behind it.
 
-use crate::frame::{ErrorCode, Frame};
+use crate::frame::ErrorCode;
 use flexsfu_obs::{labeled, Counter, LogHistogram, MetricsRegistry, SpanRecorder};
 use flexsfu_serve::ServeObs;
 use std::sync::Arc;
@@ -19,6 +20,9 @@ use std::sync::Arc;
 pub const M_FRAMES_IN: &str = "flexsfu_wire_frames_in_total";
 /// Frames written back to clients (counter).
 pub const M_FRAMES_OUT: &str = "flexsfu_wire_frames_out_total";
+/// Socket writes to clients, each carrying one or more frames
+/// (counter); frames out ÷ writes is the live coalescing factor.
+pub const M_WRITES_OUT: &str = "flexsfu_wire_writes_total";
 /// Raw bytes read off client connections (counter).
 pub const M_BYTES_IN: &str = "flexsfu_wire_bytes_in_total";
 /// Raw bytes written back to clients (counter).
@@ -56,9 +60,10 @@ const ERROR_CODES: [ErrorCode; 7] = [
 pub(crate) struct WireObsState {
     pub(crate) spans: Arc<SpanRecorder>,
     pub(crate) frames_in: Arc<Counter>,
-    pub(crate) frames_out: Arc<Counter>,
+    frames_out: Arc<Counter>,
+    writes_out: Arc<Counter>,
     pub(crate) bytes_in: Arc<Counter>,
-    pub(crate) bytes_out: Arc<Counter>,
+    bytes_out: Arc<Counter>,
     /// Indexed by `ErrorCode as u8 - 1`.
     errors: [Arc<Counter>; 7],
     pub(crate) ack_to_result_ns: Arc<LogHistogram>,
@@ -75,6 +80,7 @@ impl WireObsState {
             spans: Arc::clone(&obs.spans),
             frames_in: m.counter(M_FRAMES_IN),
             frames_out: m.counter(M_FRAMES_OUT),
+            writes_out: m.counter(M_WRITES_OUT),
             bytes_in: m.counter(M_BYTES_IN),
             bytes_out: m.counter(M_BYTES_OUT),
             errors: ERROR_CODES
@@ -93,13 +99,15 @@ impl WireObsState {
         self.spans.now_ns()
     }
 
-    /// Counts one outbound frame of `bytes` encoded length, bumping the
-    /// matching per-code error series for [`Frame::Error`]s.
-    pub(crate) fn count_outbound(&self, frame: &Frame, bytes: usize) {
-        self.frames_out.inc();
+    /// Counts one successful socket write of `frames` frames and
+    /// `bytes` bytes, bumping the per-code error series once for each
+    /// [`crate::Frame::Error`] it carried (their codes in `errors`).
+    pub(crate) fn count_write(&self, frames: u64, bytes: usize, errors: &[ErrorCode]) {
+        self.writes_out.inc();
+        self.frames_out.add(frames);
         self.bytes_out.add(bytes as u64);
-        if let Frame::Error { code, .. } = frame {
-            self.errors[*code as usize - 1].inc();
+        for &code in errors {
+            self.errors[code as usize - 1].inc();
         }
     }
 }

@@ -32,14 +32,34 @@
 //!   by request id and may overtake each other, which is the point of
 //!   per-connection request ids.
 //!
-//! A job is **accepted** exactly when its [`crate::Frame::Ack`] is
-//! written; from then on the server answers it — with a result or a
-//! typed error — even across [`WireServer::drain`]. The ack always
-//! precedes the job's own result on the wire (writes are serialized per
-//! connection), but carries no ordering relative to *other* requests.
+//! # When replies are written
+//!
+//! Both threads coalesce. The reader queues every reply one socket read
+//! produces — acks, submit errors, pongs, stats — in frame order and
+//! writes them with one `write_all` once the read's complete frames are
+//! handled. It also writes what is queued before it handles any frame
+//! that is not a submit, and before any close. The pump encodes every
+//! result that became ready in one wake into a buffer kept per
+//! connection and writes it once. Writes are serialized per connection,
+//! so frames never interleave. The rules that follow:
+//!
+//! * A job is **accepted** exactly when its [`crate::Frame::Ack`] is
+//!   written; from then on the server answers it — with a result or a
+//!   typed error — even across [`WireServer::drain`]. A read's accepted
+//!   jobs reach the pump together, under one lock, only after that
+//!   write succeeds; so a job's ack always precedes its own result, and
+//!   a job whose ack write failed never reaches the pump. An ack
+//!   carries no ordering relative to *other* requests' results.
+//! * The reader's replies keep the order of the frames that caused
+//!   them.
+//! * A `Ping`, `StatsRequest` or `Drain` sees every earlier submit of
+//!   the same read as already acked: the pong's in-flight count and the
+//!   stats snapshot include them.
+//! * Pending replies are written before any close, including one caused
+//!   by a protocol error or the stop flag.
 
 use crate::client::WireElement;
-use crate::conn::{Acceptor, Conn, ConnWriter};
+use crate::conn::{Acceptor, Conn, ConnWriter, Handler, Outbox};
 use crate::frame::{ErrorCode, Frame};
 use crate::obs::WireObsState;
 use flexsfu_obs::{SpanCell, Stage};
@@ -230,8 +250,9 @@ impl WireServer {
 
 /// One accepted job awaiting its result in the pump.
 struct PendingJob {
-    /// Clock read at the ack write (0 when the server runs without
-    /// observability) — the start of the ack→answer histogram window.
+    /// Clock read just after the ack write (0 when the server runs
+    /// without observability) — the start of the ack→answer histogram
+    /// window.
     t_ack: u64,
     /// The job's trace cell, stamped when the answer is written.
     span: Option<Arc<SpanCell>>,
@@ -267,9 +288,10 @@ impl Pump {
         })
     }
 
-    fn add(&self, job: PendingJob) {
+    /// Parks every job of `jobs` (leaving it empty) under one lock.
+    fn add(&self, jobs: &mut Vec<PendingJob>) {
         let mut g = self.inner.lock().unwrap();
-        g.pending.push(job);
+        g.pending.append(jobs);
         g.wake = true;
         self.cv.notify_one();
     }
@@ -297,7 +319,7 @@ impl Wake for PumpWaker {
     }
 }
 
-/// One connection: the shared frame-read loop feeds [`handle_frame`]
+/// One connection: the shared frame-read loop feeds a [`Dispatcher`]
 /// while a completion pump writes results back. Returns only after
 /// joining the pump, so a returned connection is fully retired.
 fn serve_conn(conn: Conn, shared: &Arc<ServerShared>) {
@@ -313,7 +335,11 @@ fn serve_conn(conn: Conn, shared: &Arc<ServerShared>) {
     // No pump thread (EAGAIN): close the connection before reading.
     let Ok(pump_thread) = pump_thread else { return };
 
-    conn.read_frames(|frame, writer| handle_frame(frame, shared, writer, &pump));
+    conn.read_frames(Dispatcher {
+        shared,
+        pump: &pump,
+        acked: Vec::new(),
+    });
 
     // Reader done (peer gone, protocol error, or stop): let the pump
     // finish answering accepted jobs, then retire the connection.
@@ -321,41 +347,52 @@ fn serve_conn(conn: Conn, shared: &Arc<ServerShared>) {
     pump_thread.join().expect("wire pump thread panicked");
 }
 
-/// Dispatches one inbound frame; `false` closes the connection.
-fn handle_frame(frame: Frame, shared: &ServerShared, writer: &ConnWriter, pump: &Pump) -> bool {
-    match frame {
-        // The decoded trace tail rides into the serving tier so the
-        // shard-side recorder adopts the router-minted id.
-        Frame::SubmitF64 {
-            req,
-            func,
-            data,
-            trace,
-        } => admit(req, shared, writer, pump, || {
-            shared
-                .handle
-                .try_submit_traced(FunctionId(func), data, trace)
-        }),
-        Frame::SubmitF32 {
-            req,
-            func,
-            data,
-            trace,
-        } => admit(req, shared, writer, pump, || {
-            shared
-                .handle
-                .try_submit_f32_traced(FunctionId(func), data, trace)
-        }),
-        Frame::Ping { nonce } => {
-            let depth = shared.handle.queue_depth();
-            // The telemetry tail reads the serving tier's own series —
-            // zeros when the server runs without observability.
-            let (flushes, eval_p99_us) = match &shared.obs {
-                Some(o) => (o.flush_units.get(), o.eval_ns.snapshot().p99() / 1_000),
-                None => (0, 0),
-            };
-            writer
-                .send(&Frame::Pong {
+/// The reader's side of one connection: dispatches each inbound frame
+/// and, once a write has carried their acks, hands the acked jobs to
+/// the pump.
+struct Dispatcher<'a> {
+    shared: &'a ServerShared,
+    pump: &'a Pump,
+    /// Jobs whose acks are queued but not yet written. Dropped unparked
+    /// if that write fails: the result is abandoned harmlessly.
+    acked: Vec<PendingJob>,
+}
+
+impl Handler for Dispatcher<'_> {
+    fn frame(&mut self, frame: Frame, out: &mut Outbox) -> bool {
+        let shared = self.shared;
+        match frame {
+            // The decoded trace tail rides into the serving tier so the
+            // shard-side recorder adopts the router-minted id.
+            Frame::SubmitF64 {
+                req,
+                func,
+                data,
+                trace,
+            } => self.admit(req, out, || {
+                shared
+                    .handle
+                    .try_submit_traced(FunctionId(func), data, trace)
+            }),
+            Frame::SubmitF32 {
+                req,
+                func,
+                data,
+                trace,
+            } => self.admit(req, out, || {
+                shared
+                    .handle
+                    .try_submit_f32_traced(FunctionId(func), data, trace)
+            }),
+            Frame::Ping { nonce } => {
+                let depth = shared.handle.queue_depth();
+                // The telemetry tail reads the serving tier's own series —
+                // zeros when the server runs without observability.
+                let (flushes, eval_p99_us) = match &shared.obs {
+                    Some(o) => (o.flush_units.get(), o.eval_ns.snapshot().p99() / 1_000),
+                    None => (0, 0),
+                };
+                out.push(&Frame::Pong {
                     nonce,
                     draining: shared.draining.load(Ordering::SeqCst),
                     queued_elems: depth.elems as u64,
@@ -363,84 +400,96 @@ fn handle_frame(frame: Frame, shared: &ServerShared, writer: &ConnWriter, pump: 
                     queued_jobs: depth.jobs as u64,
                     flushes,
                     eval_p99_us,
-                })
-                .is_ok()
-        }
-        Frame::StatsRequest { nonce } => {
-            let snapshot = shared
-                .obs
-                .as_ref()
-                .map(|o| o.metrics.snapshot())
-                .unwrap_or_default();
-            writer
-                .send(&Frame::Stats {
+                });
+            }
+            Frame::StatsRequest { nonce } => {
+                let snapshot = shared
+                    .obs
+                    .as_ref()
+                    .map(|o| o.metrics.snapshot())
+                    .unwrap_or_default();
+                out.push(&Frame::Stats {
                     nonce,
                     snapshot: snapshot.encode(),
-                })
-                .is_ok()
+                });
+            }
+            Frame::Drain => shared.draining.store(true, Ordering::SeqCst),
+            // Server-to-client frames arriving at the server are a
+            // protocol violation: typed reply, close.
+            Frame::Ack { .. }
+            | Frame::ResultF64 { .. }
+            | Frame::ResultF32 { .. }
+            | Frame::Error { .. }
+            | Frame::Pong { .. }
+            | Frame::Stats { .. } => {
+                out.error(0, ErrorCode::Protocol);
+                return false;
+            }
         }
-        Frame::Drain => {
-            shared.draining.store(true, Ordering::SeqCst);
-            true
+        true
+    }
+
+    /// The acks just written accept their jobs: count them in flight and
+    /// park them in the pump.
+    fn written(&mut self) {
+        if self.acked.is_empty() {
+            return;
         }
-        // Server-to-client frames arriving at the server are a protocol
-        // violation: typed reply, close.
-        Frame::Ack { .. }
-        | Frame::ResultF64 { .. }
-        | Frame::ResultF32 { .. }
-        | Frame::Error { .. }
-        | Frame::Pong { .. }
-        | Frame::Stats { .. } => {
-            let _ = writer.error(0, ErrorCode::Protocol);
-            false
+        let t_ack = self.shared.obs.as_ref().map_or(0, |o| o.now_ns());
+        for job in &mut self.acked {
+            job.t_ack = t_ack;
         }
+        self.shared
+            .inflight
+            .fetch_add(self.acked.len() as u64, Ordering::SeqCst);
+        self.pump.add(&mut self.acked);
     }
 }
 
-/// Admits one submit: refuses it with [`ErrorCode::Draining`] when
-/// draining, answers an admission error with its typed reply, and
-/// otherwise acks the job and parks its ticket in the pump. The ack is
-/// written *before* the ticket is parked, so a job's ack always
-/// precedes its result on the wire.
-fn admit<T: WireElement>(
-    req: u64,
-    shared: &ServerShared,
-    writer: &ConnWriter,
-    pump: &Pump,
-    submit: impl FnOnce() -> Result<JobTicket<T>, ServeError>,
-) -> bool {
-    if shared.draining.load(Ordering::SeqCst) {
-        let _ = writer.error(req, ErrorCode::Draining);
-        return true;
-    }
-    let ticket = match submit() {
-        Ok(ticket) => ticket,
-        Err(e) => return writer.send(&submit_error(req, &e, shared)).is_ok(),
-    };
-    if writer.send(&Frame::Ack { req }).is_err() {
-        // Peer is gone before the ack: the job was never accepted from
-        // the protocol's point of view; dropping the ticket abandons
-        // the result harmlessly.
-        return false;
-    }
-    let t_ack = shared.obs.as_ref().map_or(0, |o| o.now_ns());
-    shared.inflight.fetch_add(1, Ordering::SeqCst);
-    let span = ticket.span().cloned();
-    // A `Disconnected` ticket (an evaluation-side failure, e.g. the
-    // testkit's drop-before-reply fault) answers
-    // [`ErrorCode::Internal`] — accepted jobs are always answered.
-    let reply = Box::pin(async move {
-        match ticket.await {
-            Ok(data) => T::result(req, data),
-            Err(_) => Frame::Error {
-                req,
-                code: ErrorCode::Internal,
-                detail: 0,
-            },
+impl Dispatcher<'_> {
+    /// Admits one submit: refuses it with [`ErrorCode::Draining`] when
+    /// draining, answers an admission error with its typed reply, and
+    /// otherwise queues the job's ack and holds its ticket until
+    /// [`Handler::written`] — so a job's ack always precedes its result
+    /// on the wire.
+    fn admit<T: WireElement>(
+        &mut self,
+        req: u64,
+        out: &mut Outbox,
+        submit: impl FnOnce() -> Result<JobTicket<T>, ServeError>,
+    ) {
+        if self.shared.draining.load(Ordering::SeqCst) {
+            out.error(req, ErrorCode::Draining);
+            return;
         }
-    });
-    pump.add(PendingJob { t_ack, span, reply });
-    true
+        let ticket = match submit() {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                out.push(&submit_error(req, &e, self.shared));
+                return;
+            }
+        };
+        out.push(&Frame::Ack { req });
+        let span = ticket.span().cloned();
+        // A `Disconnected` ticket (an evaluation-side failure, e.g. the
+        // testkit's drop-before-reply fault) answers
+        // [`ErrorCode::Internal`] — accepted jobs are always answered.
+        let reply = Box::pin(async move {
+            match ticket.await {
+                Ok(data) => T::result(req, data),
+                Err(_) => Frame::Error {
+                    req,
+                    code: ErrorCode::Internal,
+                    detail: 0,
+                },
+            }
+        });
+        self.acked.push(PendingJob {
+            t_ack: 0,
+            span,
+            reply,
+        });
+    }
 }
 
 /// Maps a [`ServeError`] from admission onto its protocol reply.
@@ -462,12 +511,14 @@ fn submit_error(req: u64, e: &ServeError, shared: &ServerShared) -> Frame {
 }
 
 /// The completion pump: polls parked tickets through the shared waker,
-/// writes each completed job's result (or typed error) in completion
-/// order, and exits once the reader closed the connection and nothing
-/// is pending.
+/// writes the results (or typed errors) that became ready in one wake
+/// with one write, in completion order, and exits once the reader
+/// closed the connection and nothing is pending.
 fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
     let waker = Waker::from(Arc::new(PumpWaker(Arc::clone(pump))));
     let mut cx = Context::from_waker(&waker);
+    let mut out = Outbox::default();
+    let mut answered = Vec::new();
     loop {
         let mut batch = {
             let mut g = pump.inner.lock().unwrap();
@@ -489,15 +540,20 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
 
         let mut still_pending = Vec::with_capacity(batch.len());
         for mut job in batch.drain(..) {
-            let Poll::Ready(frame) = job.reply.as_mut().poll(&mut cx) else {
-                still_pending.push(job);
-                continue;
-            };
-            // A dead socket is fine — the peer stopped caring; the job
-            // itself completed and is no longer in flight either way.
-            let _ = writer.send(&frame);
-            if let Some(o) = &shared.obs {
-                let now = o.now_ns();
+            match job.reply.as_mut().poll(&mut cx) {
+                Poll::Ready(frame) => {
+                    out.push(&frame);
+                    answered.push(job);
+                }
+                Poll::Pending => still_pending.push(job),
+            }
+        }
+        // A dead socket is fine — the peer stopped caring; the jobs
+        // themselves completed and are no longer in flight either way.
+        let _ = writer.write(&mut out);
+        if let Some(o) = &shared.obs {
+            let now = o.now_ns();
+            for job in &answered {
                 if job.t_ack != 0 {
                     o.ack_to_result_ns.record(now.saturating_sub(job.t_ack));
                 }
@@ -505,8 +561,11 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
                     cell.record(Stage::WireWrite, now);
                 }
             }
-            shared.inflight.fetch_sub(1, Ordering::SeqCst);
         }
+        shared
+            .inflight
+            .fetch_sub(answered.len() as u64, Ordering::SeqCst);
+        answered.clear();
 
         let mut g = pump.inner.lock().unwrap();
         // New arrivals were appended while we polled; keep both.

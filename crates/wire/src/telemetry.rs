@@ -19,7 +19,7 @@
 //! acceptor (2 ms accept poll, one thread per connection, finished
 //! threads reaped on every pass, stop-and-join shutdown), the same
 //! frame-read loop (malformed bytes answer a protocol error and
-//! close), and the same serialized frame writer. Only what it does
+//! close), and the same coalescing reply writer. Only what it does
 //! with a decoded frame is its own.
 //!
 //! Failure semantics match the exporter's contract: a dead or slow
@@ -27,7 +27,7 @@
 //! on the next ship), the exporter buffers and eventually drops with
 //! counted loss, and the serving hot path never notices any of it.
 
-use crate::conn::{Acceptor, ConnWriter};
+use crate::conn::{Acceptor, Outbox};
 use crate::frame::{ErrorCode, Frame, FrameReader};
 use flexsfu_obs::{
     MetricsSnapshot, SinkError, Span, TelemetryBatch, TelemetrySink, TraceAssembler,
@@ -194,7 +194,7 @@ impl TelemetryCollector {
                 POLL_INTERVAL,
                 None,
                 move |conn| {
-                    conn.read_frames(|frame, writer| collect(frame, &state, writer));
+                    conn.read_frames(|frame, out: &mut Outbox| collect(frame, &state, out));
                 },
             )?
         };
@@ -283,23 +283,23 @@ impl TelemetryCollector {
 
 /// One exporter frame: a `Stats` batch is merged and acked; any other
 /// frame closes the connection with a typed protocol error.
-fn collect(frame: Frame, state: &Mutex<CollectorState>, writer: &ConnWriter) -> bool {
+fn collect(frame: Frame, state: &Mutex<CollectorState>, out: &mut Outbox) -> bool {
     let Frame::Stats { nonce, snapshot } = frame else {
         // Only Stats frames belong on a telemetry connection.
-        let _ = writer.error(0, ErrorCode::Protocol);
+        out.error(0, ErrorCode::Protocol);
         return false;
     };
-    let reply = match TelemetryBatch::decode(&snapshot) {
+    match TelemetryBatch::decode(&snapshot) {
         Ok(batch) => {
             apply(&mut state.lock().unwrap(), batch);
-            writer.send(&Frame::Ack { req: nonce })
+            out.push(&Frame::Ack { req: nonce });
         }
         // A well-framed Stats whose blob is not a batch: refuse it but
         // keep the connection — the framing is intact, later batches
         // may be fine.
-        Err(_) => writer.error(nonce, ErrorCode::Protocol),
-    };
-    reply.is_ok()
+        Err(_) => out.error(nonce, ErrorCode::Protocol),
+    }
+    true
 }
 
 /// Folds one decoded batch into the collector state: snapshots

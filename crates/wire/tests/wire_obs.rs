@@ -14,7 +14,9 @@ use flexsfu_obs::{MetricsRegistry, MonotonicClock, SampleRate, SpanRecorder, Sta
 use flexsfu_serve::obs::{M_FLUSH_UNITS, M_SUBMITS};
 use flexsfu_serve::testkit::with_watchdog;
 use flexsfu_serve::{FunctionRegistry, PwlServer, ServeConfig, ServeObs};
-use flexsfu_wire::obs::{M_ACK_TO_RESULT_NS, M_BYTES_IN, M_ERRORS, M_FRAMES_IN, M_FRAMES_OUT};
+use flexsfu_wire::obs::{
+    M_ACK_TO_RESULT_NS, M_BYTES_IN, M_ERRORS, M_FRAMES_IN, M_FRAMES_OUT, M_WRITES_OUT,
+};
 use flexsfu_wire::{WireClient, WireConfig, WireError, WireServer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -89,6 +91,13 @@ fn wire_telemetry_end_to_end() {
         assert!(snap.counter(M_FRAMES_IN).unwrap_or(0) > JOBS as u64);
         assert!(snap.counter(M_FRAMES_OUT).unwrap_or(0) >= 2 * JOBS as u64);
         assert!(snap.counter(M_BYTES_IN).unwrap_or(0) > 0);
+        // Every socket write carries at least one frame.
+        let writes = snap.counter(M_WRITES_OUT).unwrap_or(0);
+        assert!(writes >= 1, "writes are counted");
+        assert!(
+            writes <= snap.counter(M_FRAMES_OUT).unwrap_or(0),
+            "more writes ({writes}) than frames out"
+        );
 
         // Every span (sampling = ALL) runs submit -> wire write in
         // stage order. The wire-write stamp lands just after the result

@@ -1,7 +1,8 @@
 //! Integration battery for the TCP wire tier: bit-identity over the
 //! socket, out-of-order multiplexing, backpressure as `RetryAfter`,
 //! fault-injected failure paths, torn-frame/garbage handling without
-//! panics or connection leaks, and drain semantics.
+//! panics or connection leaks, drain semantics, and the ordering rules
+//! of coalesced reply writes.
 //!
 //! Every test runs under the serve testkit's watchdog so a protocol
 //! deadlock aborts with a named test instead of hanging CI.
@@ -9,10 +10,13 @@
 use flexsfu_core::init::uniform_pwl;
 use flexsfu_core::PwlEvaluator;
 use flexsfu_funcs::{Gelu, Tanh};
+use flexsfu_obs::{MetricsRegistry, MonotonicClock, SampleRate, SpanRecorder};
 use flexsfu_serve::testkit::{with_watchdog, Faults};
-use flexsfu_serve::{FlushPolicy, FunctionRegistry, PwlServer, ServeConfig};
-use flexsfu_wire::{Frame, WireClient, WireConfig, WireError, WireServer};
-use std::io::{Read, Write};
+use flexsfu_serve::{FlushPolicy, FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeObs};
+use flexsfu_wire::frame::ErrorCode;
+use flexsfu_wire::obs::{M_FRAMES_OUT, M_WRITES_OUT};
+use flexsfu_wire::{Frame, FrameReader, WireClient, WireConfig, WireError, WireServer};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -335,6 +339,203 @@ fn drain_refuses_new_submits_and_answers_accepted_jobs() {
             );
 
             drop(client);
+            stack.wire.shutdown();
+            stack.server.shutdown();
+        },
+    );
+}
+
+/// The next frame off a raw connection, or `None` once the server has
+/// closed it.
+fn next_frame(raw: &mut TcpStream, reader: &mut FrameReader) -> Option<Frame> {
+    let mut buf = [0u8; 4096];
+    loop {
+        if let Some(frame) = reader.next_frame().expect("server sent a malformed frame") {
+            return Some(frame);
+        }
+        let n = raw.read(&mut buf).expect("read from the server");
+        if n == 0 {
+            assert_eq!(reader.buffered(), 0, "server closed mid-frame");
+            return None;
+        }
+        reader.feed(&buf[..n]);
+    }
+}
+
+#[test]
+fn pipelined_burst_acks_in_order_then_pongs_then_answers() {
+    with_watchdog(
+        60,
+        "pipelined_burst_acks_in_order_then_pongs_then_answers",
+        || {
+            const JOBS: u64 = 64;
+            let registry = Arc::new(FunctionRegistry::new());
+            registry.register("gelu", &uniform_pwl(&Gelu, 24, (-8.0, 8.0)));
+            let metrics = Arc::new(MetricsRegistry::new());
+            let spans = Arc::new(SpanRecorder::new(
+                64,
+                SampleRate::ALL,
+                Arc::new(MonotonicClock::new()),
+            ));
+            let obs = ServeObs::new(Arc::clone(&metrics), spans);
+            let server =
+                PwlServer::start_with_obs(Arc::clone(&registry), quick_config(), obs.clone());
+            let wire =
+                WireServer::start_local_with_obs(server.handle(), WireConfig::default(), obs)
+                    .expect("bind ephemeral wire server");
+            // Hold function 0: it flushes on neither size nor deadline.
+            let gelu = FunctionId(0);
+            registry
+                .set_policy(
+                    gelu,
+                    Some(FlushPolicy {
+                        max_elems: usize::MAX,
+                        deadline: Duration::MAX,
+                    }),
+                )
+                .unwrap();
+
+            // 64 submits and a trailing ping, all in one write.
+            let mut next = xorshift(0xb0257);
+            let inputs: Vec<Vec<f64>> = (0..JOBS).map(|_| request_f64(&mut next, 16)).collect();
+            let mut burst = Vec::new();
+            for (req, xs) in inputs.iter().enumerate() {
+                Frame::SubmitF64 {
+                    req: req as u64,
+                    func: gelu.0,
+                    data: xs.clone(),
+                    trace: None,
+                }
+                .encode_into(&mut burst);
+            }
+            Frame::Ping { nonce: 77 }.encode_into(&mut burst);
+            let mut raw = TcpStream::connect(wire.local_addr()).unwrap();
+            raw.write_all(&burst).unwrap();
+
+            // Acks in request order, then a pong that already counts
+            // every one of them in flight.
+            let mut reader = FrameReader::new();
+            for req in 0..JOBS {
+                assert_eq!(next_frame(&mut raw, &mut reader), Some(Frame::Ack { req }));
+            }
+            match next_frame(&mut raw, &mut reader) {
+                Some(Frame::Pong {
+                    nonce: 77,
+                    inflight,
+                    ..
+                }) => assert_eq!(inflight, JOBS, "the ping sees the burst acked"),
+                other => panic!("expected the pong, got {other:?}"),
+            }
+            // The reader coalesced: the 65 replies shared a few writes,
+            // not one each. (The counters move just after a write
+            // returns, so let them catch up with what was read.)
+            let counter = |name| metrics.snapshot().counter(name).unwrap_or(0);
+            let frames = settle(Duration::from_secs(10), || {
+                (JOBS as usize + 1).saturating_sub(counter(M_FRAMES_OUT) as usize)
+            });
+            assert_eq!(frames, 0, "every reply read was counted");
+            let writes = counter(M_WRITES_OUT);
+            assert!(
+                2 * writes <= JOBS + 1,
+                "{writes} writes carried the burst's 65 replies"
+            );
+            // And no result while the function is held.
+            raw.set_read_timeout(Some(Duration::from_millis(50)))
+                .unwrap();
+            let mut byte = [0u8; 1];
+            let held = raw.read(&mut byte).map_err(|e| e.kind());
+            assert!(
+                matches!(held, Err(ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+                "no result may arrive while function 0 is held, got {held:?}"
+            );
+            raw.set_read_timeout(None).unwrap();
+
+            // Release the hold: every job is answered, bit-identical to
+            // direct evaluation.
+            registry.set_policy(gelu, None).unwrap();
+            let engine = registry.engine(gelu).unwrap();
+            let mut answered = vec![false; JOBS as usize];
+            for _ in 0..JOBS {
+                let Some(Frame::ResultF64 { req, data }) = next_frame(&mut raw, &mut reader) else {
+                    panic!("expected a result");
+                };
+                assert!(
+                    !std::mem::replace(&mut answered[req as usize], true),
+                    "req {req} answered twice"
+                );
+                let direct = engine.engine().eval_batch(&inputs[req as usize]);
+                assert_eq!(data.len(), direct.len());
+                for (a, b) in data.iter().zip(&direct) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "bit divergence on req {req}");
+                }
+            }
+            assert_eq!(
+                settle(Duration::from_secs(10), || wire.inflight() as usize),
+                0
+            );
+
+            // Over the whole exchange, more frames went out than writes.
+            let frames_out = counter(M_FRAMES_OUT);
+            let writes = counter(M_WRITES_OUT);
+            assert!(
+                frames_out > writes,
+                "frames out {frames_out} must exceed writes {writes}"
+            );
+
+            drop(raw);
+            wire.shutdown();
+            server.shutdown();
+        },
+    );
+}
+
+#[test]
+fn submit_then_garbage_acks_refuses_and_still_answers() {
+    with_watchdog(
+        60,
+        "submit_then_garbage_acks_refuses_and_still_answers",
+        || {
+            let stack = stack(&quick_config(), None);
+            let xs = vec![0.75; 16];
+            let mut bytes = Frame::SubmitF64 {
+                req: 5,
+                func: 0,
+                data: xs.clone(),
+                trace: None,
+            }
+            .encode();
+            bytes.extend_from_slice(&[0xDE; 64]);
+            let mut raw = TcpStream::connect(stack.wire.local_addr()).unwrap();
+            raw.write_all(&bytes).unwrap();
+
+            let mut reader = FrameReader::new();
+            assert_eq!(
+                next_frame(&mut raw, &mut reader),
+                Some(Frame::Ack { req: 5 })
+            );
+            match next_frame(&mut raw, &mut reader) {
+                Some(Frame::Error { req: 0, code, .. }) => assert_eq!(code, ErrorCode::Protocol),
+                other => panic!("expected the protocol error after the ack, got {other:?}"),
+            }
+            // The accepted job is still answered before the close.
+            let direct = stack
+                .registry
+                .engine(FunctionId(0))
+                .unwrap()
+                .engine()
+                .eval_batch(&xs);
+            match next_frame(&mut raw, &mut reader) {
+                Some(Frame::ResultF64 { req: 5, data }) => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&data), bits(&direct));
+                }
+                other => panic!("expected the accepted job's result, got {other:?}"),
+            }
+            assert_eq!(next_frame(&mut raw, &mut reader), None, "then EOF");
+
+            drop(raw);
+            let leaked = settle(Duration::from_secs(10), || stack.wire.active_connections());
+            assert_eq!(leaked, 0, "connection leaked after submit + garbage");
             stack.wire.shutdown();
             stack.server.shutdown();
         },
