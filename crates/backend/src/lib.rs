@@ -32,7 +32,7 @@
 //!   activation.
 //!
 //! The serving layer (`flexsfu-serve`) binds one backend per registered
-//! function: the batcher still groups flushes per function, so **a
+//! function: the serve workers still group flushes per function, so **a
 //! flush never mixes backends**, and per-flush [`FlushStats`] aggregate
 //! into the registry's backend counters.
 //!

@@ -44,7 +44,7 @@
 //! count (for the batched design: submit → result observed). The ≥ 2×
 //! batched-over-scalar/req bar at 16 clients is asserted on multi-core
 //! hosts only; with a single online CPU the whole run is informational
-//! (clients, batcher and workers all share the one core).
+//! (clients and workers all share the one core).
 
 use flexsfu_core::init::uniform_pwl;
 use flexsfu_core::{CompiledPwl, PwlEvaluator, PwlFunction};
@@ -423,7 +423,7 @@ fn main() {
     println!("\nbatched / scalar-per-request at 16 clients: {ratio:.2}x");
     if online == 1 {
         println!(
-            "single online CPU: informational only — clients, batcher and workers \
+            "single online CPU: informational only — clients and workers \
              share one core, so the {BATCHED_OVER_SCALAR_TARGET:.1}x bar is not enforced"
         );
     } else {

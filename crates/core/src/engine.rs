@@ -1254,7 +1254,7 @@ impl<T: Element> PwlEngine<T> {
     /// in `outs[1]`, and so on. Zero-length output slices are permitted
     /// and consume nothing.
     ///
-    /// This is the serving front-end's entry point: a batcher coalesces
+    /// This is the serving front-end's entry point: a serve worker coalesces
     /// many small request tensors into one contiguous buffer so the lane
     /// kernels run at full width, then the results must land back in the
     /// per-request buffers. Evaluation proceeds through the same chunked

@@ -39,7 +39,7 @@ pub enum Stage {
     Submit = 3,
     /// Request accepted into the batching queue.
     Enqueue = 4,
-    /// Batcher planned the flush containing this request.
+    /// A serve worker planned the flush containing this request.
     FlushPlan = 5,
     /// Backend evaluation of the flush began.
     BackendEval = 6,

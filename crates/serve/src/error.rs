@@ -29,8 +29,9 @@ pub enum ServeError {
     /// f64 — the f32 path's contract is that a request never touches
     /// f64.
     PrecisionUnsupported(FunctionId),
-    /// The result channel was dropped without a value — only possible if
-    /// an evaluation worker panicked.
+    /// The result channel was dropped without a value: the backend
+    /// panicked while evaluating the job's flush unit. Only that unit's
+    /// jobs fail; the worker goes on serving later jobs.
     Disconnected,
 }
 
@@ -45,7 +46,7 @@ impl fmt::Display for ServeError {
                 f,
                 "function {id:?}'s backend has no f32 lane (lower_f32 returned None)"
             ),
-            Self::Disconnected => write!(f, "result channel disconnected (worker panicked)"),
+            Self::Disconnected => write!(f, "result channel disconnected (backend panicked)"),
         }
     }
 }

@@ -8,12 +8,13 @@
 //! small tensors cannot fill the SIMD lane kernels
 //! ([`flexsfu_core::CompiledPwl`] measures ~4.5× the scalar path only at
 //! batch scale). This crate instead lets any number of clients submit
-//! `(function, tensor)` jobs to a [`ServeHandle`]; a batcher thread
-//! coalesces everything pending into **one contiguous buffer per
-//! function** — flushing whenever a worker is free, or on a size
-//! threshold — a worker pool evaluates each buffer through the engine's
-//! slice-scatter entry point ([`flexsfu_core::CompiledPwl::eval_scatter_into`]), and
-//! every job's result slice travels back over its own oneshot channel.
+//! `(function, tensor)` jobs to a [`ServeHandle`]. A free worker thread
+//! takes a due function's pending jobs and coalesces them into **one
+//! contiguous buffer per function** (a function is due whenever a
+//! worker is free, or on a size threshold). The same worker evaluates
+//! the buffer through the engine's slice-scatter entry point
+//! ([`flexsfu_core::CompiledPwl::eval_scatter_into`]), and every job's
+//! result slice travels back over its own oneshot channel.
 //! Results are **bit-identical** to evaluating each tensor directly with
 //! the engine ([`flexsfu_core::PwlEvaluator::eval_batch`]).
 //!
@@ -46,9 +47,9 @@
 //!   alone, so tight-deadline functions are not held back by
 //!   throughput-oriented ones. A zero deadline (the [`ServeConfig`]
 //!   default) means "flush when a worker is free"; a nonzero one holds
-//!   jobs to coalesce them. A deadline-due flush waits for a free
-//!   worker while its jobs keep coalescing; size, queue-pressure and
-//!   shutdown flushes go out regardless.
+//!   jobs to coalesce them. Every flush waits for a free worker while
+//!   its jobs keep coalescing, so the queue bound also bounds the
+//!   accepted work that has not started evaluating.
 //! * **Drain and load hooks for the wire tier** —
 //!   [`PwlServer::begin_drain`] stops admissions without blocking (the
 //!   sharded deployment tier's handoff primitive — accepted jobs still

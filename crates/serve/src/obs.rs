@@ -1,6 +1,5 @@
 //! Serving-tier observability: the metric names this crate emits and
-//! the pre-resolved handle bundle the batcher and workers record
-//! through.
+//! the pre-resolved handle bundle the workers record through.
 //!
 //! A server started with [`crate::PwlServer::start_with_obs`] counts
 //! submissions, tracks queue depth, classifies every flush by its

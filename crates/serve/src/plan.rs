@@ -1,6 +1,6 @@
-//! The batcher's coalescing math, as a pure function.
+//! The flush's coalescing math, as a pure function.
 //!
-//! Splitting the plan out of the batcher thread keeps the part of the
+//! Splitting the plan out of the worker loop keeps the part of the
 //! system that is easy to get subtly wrong — offsets, lengths, grouping —
 //! free of any concurrency, so the property tests in
 //! `tests/batcher_props.rs` can hammer it directly: for arbitrary job

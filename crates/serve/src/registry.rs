@@ -2,8 +2,8 @@
 //! each bound to an evaluation backend.
 //!
 //! Every serving job names its function by [`FunctionId`]. The registry
-//! maps ids to engines behind an `RwLock`, and the batcher snapshots a
-//! function's backend program once per flush unit — so
+//! maps ids to engines behind an `RwLock`, and the worker that takes a
+//! flush snapshots the function's backend program once per flush unit — so
 //! [`FunctionRegistry::publish`]ing a recompiled table takes effect
 //! atomically at the next flush, without stopping traffic, and a flush
 //! already in progress keeps evaluating against the table it started
@@ -204,7 +204,7 @@ impl FunctionRegistry {
 
     /// [`Self::register_with_backend`] plus an initial [`FlushPolicy`],
     /// installed under the same registry write lock as the entry itself
-    /// — so a batcher that sees the function at all sees it with its
+    /// — so a worker that sees the function at all sees it with its
     /// policy, never in a default-policy window. This is the bulk-bring-up
     /// entry point an auto-tuner uses: one call per function registers
     /// the tuned table, its backend binding *and* its derived flush
@@ -279,8 +279,8 @@ impl FunctionRegistry {
         engine: CompiledPwl,
     ) -> Result<Arc<ParallelPwl>, crate::ServeError> {
         // Snapshot the binding under a read lock and run the lowering
-        // with **no lock held**: the batcher reads this registry on its
-        // hot path (while holding the queue mutex), so a write lock
+        // with **no lock held**: the workers read this registry on their
+        // flush check (while holding the queue mutex), so a write lock
         // held across a potentially slow backend `lower` would stall
         // every submission — the opposite of "publish without stopping
         // traffic". The backend of an entry never changes after
@@ -418,12 +418,12 @@ impl FunctionRegistry {
 
     /// Sets (or clears, with `None`) the per-function flush policy of
     /// `id`. Functions without an explicit policy use the server's
-    /// [`crate::ServeConfig`] defaults. Takes effect at the batcher's
-    /// next wake-up: the next submission, the next expiring deadline,
-    /// or — when jobs are queued with no reachable deadline — the
-    /// batcher's coarse re-check tick (~10 ms), so even tightening the
-    /// deadline of an already-parked never-expiring function applies
-    /// promptly.
+    /// [`crate::ServeConfig`] defaults. Takes effect at a worker's next
+    /// flush check: after its current flush, on the next submission or
+    /// the next expiring deadline, or — when jobs are queued with no
+    /// reachable deadline — on a free worker's coarse re-check tick
+    /// (~10 ms), so even tightening the deadline of an already-parked
+    /// never-expiring function applies promptly.
     ///
     /// # Errors
     ///

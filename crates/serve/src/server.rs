@@ -1,43 +1,53 @@
-//! The server: a batcher thread coalescing jobs into per-function packed
-//! buffers, a small pool of evaluation workers, and the cloneable
-//! [`ServeHandle`] callers submit through.
+//! The server: a small pool of evaluation workers that each take due
+//! jobs from a shared queue, coalesce them into per-function packed
+//! buffers and evaluate them, and the cloneable [`ServeHandle`] callers
+//! submit through.
 //!
 //! # Lifecycle
 //!
-//! [`PwlServer::start`] spawns one **batcher** thread and
-//! `eval_workers` **worker** threads. Submitted jobs land in a bounded
-//! queue (backpressure: [`ServeHandle::submit`] blocks while the queue
-//! holds `queue_elements` pending elements; [`ServeHandle::try_submit`]
-//! returns [`ServeError::QueueFull`] instead). Flushing is
-//! **per function**: a function's pending jobs drain when they reach
-//! its [`FlushPolicy`] element threshold *or* its oldest pending job
-//! has waited out the policy deadline — functions without an explicit
+//! [`PwlServer::start`] spawns `eval_workers` **worker** threads and no
+//! other. Submitted jobs land in a bounded queue (backpressure:
+//! [`ServeHandle::submit`] blocks while the queue holds
+//! `queue_elements` pending elements; [`ServeHandle::try_submit`]
+//! returns [`ServeError::QueueFull`] instead). Flushing is **per
+//! function**: a function's pending jobs are due when they reach its
+//! [`FlushPolicy`] element threshold *or* its oldest pending job has
+//! waited out the policy deadline — functions without an explicit
 //! policy (see [`crate::FunctionRegistry::set_policy`]) use the
 //! [`ServeConfig`] defaults. A due function flushes alone; other
 //! functions' jobs stay queued until *their* policy fires, so a
 //! latency-critical function under a tight deadline is never held
 //! hostage by a throughput-oriented one.
 //!
-//! Deadline flushes are **work-conserving**: a function whose deadline
-//! has passed flushes only once a worker is free (fewer units in flight
-//! than `eval_workers`); until then its jobs stay queued and keep
+//! The worker that takes a flush also evaluates it, so there is no
+//! thread between the queue and the backend (the leader/followers
+//! pattern). A free worker, under the queue lock, checks every pending
+//! function's policy and drains the due function with the oldest
+//! pending job — on shutdown or queue pressure, every pending function.
+//! If jobs are still queued it wakes one sibling, then it drops the lock
+//! and plans, packs and evaluates what it drained.
+//!
+//! Flushes are therefore **work-conserving**: a due function flushes
+//! only once a worker is free; until then its jobs stay queued and keep
 //! coalescing instead of lining up behind busy workers. The default
 //! deadline is zero, so an idle worker takes whatever is pending at
 //! once, and under load a batch is whatever arrived during the previous
 //! flush. A nonzero deadline holds jobs to coalesce them. Size, queue
-//! pressure and shutdown flushes go out whether or not a worker is
-//! free.
+//! pressure and shutdown flushes wait for a free worker too, so
+//! `queue_elements` bounds the accepted work that has not started
+//! evaluating.
 //!
-//! Each flush is planned with [`FlushPlan`], packed into one contiguous
-//! buffer per function, and handed to the workers with a snapshot of
-//! the function's **backend program** from the registry. Workers
-//! evaluate through
+//! Each flush is planned with [`FlushPlan`] and packed into one
+//! contiguous buffer per function and precision, together with a
+//! snapshot of the function's **backend program** from the registry.
+//! The worker evaluates it through
 //! [`flexsfu_backend::BackendProgram::eval_scatter_into`] (the native
 //! SIMD kernels, the SFU emulator, or any other bound backend — a unit
-//! never mixes backends because it never mixes functions), record the
+//! never mixes backends because it never mixes functions), records the
 //! flush's [`flexsfu_backend::FlushStats`] into the registry's
-//! per-function counters, and complete each job's oneshot channel with
-//! its result slice.
+//! per-function counters, and completes each job's oneshot channel with
+//! its result slice. A backend that panics fails only its own unit's
+//! tickets; the worker keeps serving.
 //!
 //! [`PwlServer::shutdown`] (also run on drop) stops admissions, drains
 //! every already-accepted job through a final flush, and joins all
@@ -54,23 +64,23 @@ use flexsfu_backend::BackendProgram;
 use flexsfu_core::Element;
 use flexsfu_obs::{SpanCell, Stage};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// When one function's pending jobs flush: at `max_elems` pending
-/// elements, or when the oldest of them has waited `deadline` *and* a
-/// worker is free.
+/// When one function's pending jobs flush: once a worker is free and
+/// either `max_elems` of them are pending or the oldest of them has
+/// waited `deadline`.
 ///
 /// A zero deadline means "flush when a worker is free": an idle worker
 /// takes whatever is pending at once, a busy pool lets jobs coalesce
 /// until one frees up. A nonzero deadline holds jobs that long to
 /// coalesce them (e.g. to amortize an accelerator's pipeline fill),
-/// then likewise waits for a free worker. The size threshold flushes
-/// regardless of workers.
+/// then likewise waits for a free worker. The size threshold makes the
+/// function due before its deadline; it still flushes on the next free
+/// worker, since every worker evaluates what it drains.
 ///
 /// Attached per function via
 /// [`crate::FunctionRegistry::set_policy`]; the server's [`ServeConfig`]
@@ -115,10 +125,15 @@ pub struct ServeConfig {
     /// *elements* (a job larger than the whole bound is admitted alone
     /// into an empty queue, so oversized tensors cannot deadlock). This
     /// bound stays global — admission control protects the process,
-    /// flush policy shapes latency.
+    /// flush policy shapes latency. Workers drain only when free, so it
+    /// bounds the accepted work that has not started evaluating: at most
+    /// `(eval_workers + 1) × queue_elements` accepted elements are
+    /// unfinished at once (more only while oversized jobs are in flight).
     pub queue_elements: usize,
-    /// Evaluation worker threads. More than one lets a flush of function
-    /// A evaluate while function B's next flush is being packed.
+    /// Evaluation worker threads — the server's only threads. Each one
+    /// takes due jobs from the queue and evaluates them itself; more
+    /// than one lets a flush of function A evaluate while function B's
+    /// flush is being packed.
     pub eval_workers: usize,
 }
 
@@ -181,14 +196,12 @@ impl JobData {
 }
 
 /// A precision the server carries end to end: ties the element type to
-/// its arm of the precision-tagged queue and unit enums and to its
-/// backend program in the registry. Everything else — admission, flush
-/// planning, packing, evaluation, scatter — is written once over it.
+/// its arm of the precision-tagged queue enum and to its backend program
+/// in the registry. Everything else — admission, flush planning,
+/// packing, evaluation, scatter — is written once over it.
 pub(crate) trait Precision: Element {
     /// Tags a payload for the shared queue.
     fn job(payload: Payload<Self>) -> JobData;
-    /// Tags a packed unit for the worker channel.
-    fn unit(unit: Unit<Self>) -> FlushUnit;
     /// The entry's program in this precision, if its backend has one.
     fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<Self>>>;
 }
@@ -196,9 +209,6 @@ pub(crate) trait Precision: Element {
 impl Precision for f64 {
     fn job(payload: Payload<f64>) -> JobData {
         JobData::F64(payload)
-    }
-    fn unit(unit: Unit<f64>) -> FlushUnit {
-        FlushUnit::F64(unit)
     }
     fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram>> {
         Some(&entry.bound.program)
@@ -209,9 +219,6 @@ impl Precision for f32 {
     fn job(payload: Payload<f32>) -> JobData {
         JobData::F32(payload)
     }
-    fn unit(unit: Unit<f32>) -> FlushUnit {
-        FlushUnit::F32(unit)
-    }
     fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<f32>>> {
         entry.bound.program_f32.as_ref()
     }
@@ -221,13 +228,7 @@ impl Precision for f32 {
 /// channel, trace cell)` in packed order.
 type PackedJob<T> = (usize, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
 
-/// A unit of either precision, as the worker channel carries it.
-pub(crate) enum FlushUnit {
-    F64(Unit<f64>),
-    F32(Unit<f32>),
-}
-
-/// One function's packed share of a flush, ready for a worker: the
+/// One function's packed share of a flush, ready to evaluate: the
 /// backend program snapshot it evaluates through (in the flush's
 /// precision — a unit never mixes precisions, just as it never mixes
 /// functions), and the stats sink the flush's cost lands in.
@@ -240,9 +241,9 @@ pub(crate) struct Unit<T: Element> {
     obs: Option<UnitObs>,
 }
 
-/// The observability handles one flush unit carries to its worker: the
-/// global state plus the unit's function-labelled series, both
-/// pre-resolved — the worker records without locks or allocation.
+/// The observability handles one flush unit carries: the global state
+/// plus the unit's function-labelled series, both pre-resolved — the
+/// evaluation records without locks or allocation.
 struct UnitObs {
     state: Arc<ObsState>,
     func: Arc<FuncObs>,
@@ -263,12 +264,13 @@ struct QueueState {
     /// Aggregates per function with pending jobs.
     pending: HashMap<FunctionId, FuncPending>,
     /// Submitters currently parked on the element bound. Non-zero means
-    /// the queue is saturated: the batcher flushes *everything* rather
-    /// than letting one long-deadline function hold the shared bound —
-    /// and with it every other function's admissions — hostage.
+    /// the queue is saturated: the next free worker flushes
+    /// *everything* rather than letting one long-deadline function hold
+    /// the shared bound — and with it every other function's admissions
+    /// — hostage.
     space_waiters: usize,
     /// Set when a non-blocking `try_submit` bounced off the full queue.
-    /// The batcher consumes it as a one-shot pressure signal, so pure
+    /// A free worker consumes it as a one-shot pressure signal, so pure
     /// `try_submit` producers (which never park and so never raise
     /// `space_waiters`) also force a drain instead of seeing
     /// `QueueFull` forever against a never-flushing function.
@@ -276,16 +278,12 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// The mutex/condvar trio the handle and batcher share.
+/// The mutex/condvar trio the handles and workers share.
 struct Shared {
     queue: Mutex<QueueState>,
-    /// Signalled on submit, shutdown and finished units; the batcher
-    /// waits here.
+    /// Signalled on submit, pressure and shutdown, and by a worker that
+    /// leaves jobs queued; free workers wait here.
     job_ready: Condvar,
-    /// Flush units sent to the workers and not yet finished. A
-    /// deadline-due function flushes only while this is below
-    /// `eval_workers`.
-    busy_units: AtomicUsize,
     /// Signalled on flush and shutdown; blocked submitters wait here.
     space: Condvar,
     /// Test-only fault injector ([`crate::testkit::Faults`]); `None` in
@@ -323,7 +321,6 @@ pub struct PwlServer {
     shared: Arc<Shared>,
     registry: Arc<FunctionRegistry>,
     queue_elements: usize,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -354,8 +351,9 @@ impl<T> JobTicket<T> {
     /// # Errors
     ///
     /// Returns [`ServeError::Disconnected`] if the server dropped the
-    /// job's result channel without completing it (only possible if an
-    /// evaluation worker panicked).
+    /// job's result channel without completing it: the backend panicked
+    /// while evaluating the job's flush unit (the worker itself keeps
+    /// serving later jobs).
     pub fn wait(self) -> Result<Vec<T>, ServeError> {
         self.rx.recv().map_err(|_| ServeError::Disconnected)
     }
@@ -378,7 +376,7 @@ impl<T> std::future::Future for JobTicket<T> {
 }
 
 impl PwlServer {
-    /// Spawns the batcher and worker threads over `registry`.
+    /// Spawns the worker threads over `registry`.
     ///
     /// # Panics
     ///
@@ -439,40 +437,27 @@ impl PwlServer {
                 shutdown: false,
             }),
             job_ready: Condvar::new(),
-            busy_units: AtomicUsize::new(0),
             space: Condvar::new(),
             faults,
             obs: obs.as_ref().map(|o| Arc::new(ObsState::new(o))),
         });
 
-        let (unit_tx, unit_rx) = mpsc::channel::<FlushUnit>();
-        let unit_rx = Arc::new(Mutex::new(unit_rx));
+        let default_policy = config.default_policy();
         let workers = (0..config.eval_workers)
             .map(|i| {
-                let rx = Arc::clone(&unit_rx);
                 let shared = Arc::clone(&shared);
+                let registry = Arc::clone(&registry);
                 std::thread::Builder::new()
                     .name(format!("flexsfu-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared))
+                    .spawn(move || worker_loop(&shared, &registry, default_policy))
                     .expect("spawn worker thread")
             })
             .collect();
-
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let registry = Arc::clone(&registry);
-            let cfg = config.clone();
-            std::thread::Builder::new()
-                .name("flexsfu-serve-batcher".into())
-                .spawn(move || batcher_loop(&shared, &registry, &cfg, &unit_tx))
-                .expect("spawn batcher thread")
-        };
 
         Self {
             shared,
             registry,
             queue_elements: config.queue_elements,
-            batcher: Some(batcher),
             workers,
         }
     }
@@ -504,7 +489,7 @@ impl PwlServer {
     /// The non-blocking first half of [`Self::shutdown`] — the drain
     /// hook the sharded deployment tier uses for handoff: admissions
     /// stop (new submits fail [`ServeError::ShuttingDown`]) and the
-    /// batcher begins its final drain, but the call returns immediately
+    /// workers begin their final drain, but the call returns immediately
     /// instead of joining threads. Every job accepted before this call
     /// still completes; a later [`Self::shutdown`] (or drop) joins the
     /// threads as usual.
@@ -523,12 +508,8 @@ impl PwlServer {
     }
 
     fn shutdown_inner(&mut self) {
+        // Each worker returns once it finds the queue drained.
         self.begin_drain();
-        if let Some(b) = self.batcher.take() {
-            // The batcher drains the queue into the workers' channel and
-            // drops its sender, which ends the worker loops.
-            b.join().expect("batcher thread panicked");
-        }
         for w in self.workers.drain(..) {
             w.join().expect("worker thread panicked");
         }
@@ -687,7 +668,7 @@ impl ServeHandle {
         // stamp must predate any time spent parked on the element bound.
         let submit_ns = self.shared.obs.as_ref().map(|o| o.now_ns());
         // Injected backpressure (testkit): a forced bounce takes the
-        // exact organic path — flag the pressure and wake the batcher —
+        // exact organic path — flag the pressure and wake a worker —
         // so the retry loop under test exercises the real signals.
         // Non-blocking admissions only: forcing a *blocking* submit full
         // would just park it, which is not a fault worth injecting.
@@ -714,15 +695,15 @@ impl ServeHandle {
             }
             if !block {
                 // Same pressure rule as parking (below), minus the
-                // wait: flag the saturation and wake the batcher so a
+                // wait: flag the saturation and wake a worker so a
                 // retrying caller finds space after the forced drain.
                 q.rejected_full = true;
                 drop(q);
                 self.shared.job_ready.notify_one();
                 return Err(ServeError::QueueFull);
             }
-            // Park — and tell the batcher: a saturated queue overrides
-            // every flush policy (see `batcher_loop`), otherwise a
+            // Park — and tell the workers: a saturated queue overrides
+            // every flush policy (see `worker_loop`), otherwise a
             // long-deadline function could block all admissions for its
             // whole deadline.
             q.space_waiters += 1;
@@ -771,22 +752,28 @@ impl ServeHandle {
     }
 }
 
-/// The batcher: waits for any function's size threshold, or for its
-/// deadline and a free worker, drains exactly the due functions' jobs,
-/// plans/packs per-function units, and feeds the workers. Returns
-/// (dropping the unit sender, which ends the workers) once shutdown is
-/// set and the queue is fully drained.
+/// A due function, as a worker's policy check found it.
+struct Due {
+    func: FunctionId,
+    /// Arrival of its oldest pending job — the oldest goes first.
+    oldest: Instant,
+    fired_size: bool,
+    fired_deadline: bool,
+}
+
+/// An evaluation worker, which also makes the flush decision: under the
+/// queue lock it checks every pending function's policy and drains the
+/// due function with the oldest pending job — on shutdown or queue
+/// pressure, every pending function. If jobs are left queued it wakes
+/// one sibling (to flush them if due, or to watch their deadline), then
+/// drops the lock and plans, packs and evaluates the drained jobs on
+/// its own thread. With nothing due it sleeps until the earliest pending
+/// deadline. Returns once shutdown is set and the queue is empty.
 ///
 /// Lock order: the queue mutex may be held while taking the registry's
 /// read lock (policy lookup); no code path acquires them in the other
 /// order while holding either.
-fn batcher_loop(
-    shared: &Shared,
-    registry: &FunctionRegistry,
-    cfg: &ServeConfig,
-    unit_tx: &mpsc::Sender<FlushUnit>,
-) {
-    let default_policy = cfg.default_policy();
+fn worker_loop(shared: &Shared, registry: &FunctionRegistry, default_policy: FlushPolicy) {
     let mut q = shared.queue.lock().unwrap();
     loop {
         if q.shutdown && q.jobs.is_empty() {
@@ -805,30 +792,56 @@ fn batcher_loop(
         // and force a spurious policy-overriding flush later.
         let rejected_full = std::mem::take(&mut q.rejected_full);
         let force_all = q.shutdown || q.space_waiters > 0 || rejected_full;
-        // Work conservation: an expired deadline fires only into a free
-        // worker. Otherwise the jobs keep coalescing in the queue, and
-        // the finishing worker's `job_ready` signal re-runs this check.
-        let worker_free = shared.busy_units.load(Ordering::SeqCst) < cfg.eval_workers;
-        let mut due: Vec<FunctionId> = Vec::new();
+        let mut due: Vec<Due> = Vec::new();
         let mut next_deadline: Option<Instant> = None;
         for (&func, pending) in &q.pending {
             let policy = registry.policy(func).unwrap_or(default_policy);
             // `checked_add`: a huge deadline (`Duration::MAX` = "flush
             // on size or shutdown only") must saturate to "never", not
-            // overflow `Instant` and panic the batcher.
+            // overflow `Instant` and panic the worker.
             let deadline = pending.oldest.checked_add(policy.deadline);
             let fired_size = pending.elems >= policy.max_elems;
-            let expired = deadline.is_some_and(|d| now >= d);
-            let fired_deadline = expired && worker_free;
+            // The checking worker is free, so an expired deadline is due.
+            let fired_deadline = deadline.is_some_and(|d| now >= d);
             if force_all || fired_size || fired_deadline {
+                due.push(Due {
+                    func,
+                    oldest: pending.oldest,
+                    fired_size,
+                    fired_deadline,
+                });
+            } else if let Some(d) = deadline {
+                next_deadline = Some(next_deadline.map_or(d, |nd: Instant| nd.min(d)));
+            }
+        }
+        if !due.is_empty() {
+            if !force_all {
+                due.sort_unstable_by_key(|d| d.oldest);
+                due.truncate(1);
+            }
+            // Drain only the chosen functions, preserving submission
+            // order for the FIFO-per-function packing guarantee.
+            let drained = if due.len() == q.pending.len() {
+                std::mem::take(&mut q.jobs)
+            } else {
+                let (drained, kept): (Vec<Job>, Vec<Job>) = std::mem::take(&mut q.jobs)
+                    .into_iter()
+                    .partition(|job| due.iter().any(|d| d.func == job.func));
+                q.jobs = kept;
+                drained
+            };
+            for d in &due {
+                if let Some(p) = q.pending.remove(&d.func) {
+                    q.queued_elems -= p.elems;
+                }
                 if let Some(obs) = &shared.obs {
                     // A function's own trigger takes precedence over the
                     // queue-wide overrides in the reason accounting: a
                     // size-due function drained during shutdown still
                     // flushed "because it was full".
-                    let reason = if fired_size {
+                    let reason = if d.fired_size {
                         &obs.flush_size
-                    } else if fired_deadline {
+                    } else if d.fired_deadline {
                         &obs.flush_deadline
                     } else if q.shutdown {
                         &obs.flush_shutdown
@@ -837,41 +850,18 @@ fn batcher_loop(
                     };
                     reason.inc();
                 }
-                due.push(func);
-            } else if let Some(d) = deadline.filter(|_| !expired) {
-                // A passed deadline waiting for a worker is left out, so
-                // the batcher sleeps until a unit finishes instead of
-                // spinning on a zero timeout.
-                next_deadline = Some(next_deadline.map_or(d, |nd: Instant| nd.min(d)));
-            }
-        }
-        if !due.is_empty() {
-            // Drain only the due functions, preserving submission order
-            // for the FIFO-per-function packing guarantee.
-            let mut drained = Vec::new();
-            let mut kept = Vec::with_capacity(q.jobs.len());
-            for job in q.jobs.drain(..) {
-                if due.contains(&job.func) {
-                    drained.push(job);
-                } else {
-                    kept.push(job);
-                }
-            }
-            q.jobs = kept;
-            for func in &due {
-                if let Some(p) = q.pending.remove(func) {
-                    q.queued_elems -= p.elems;
-                }
             }
             if let Some(obs) = &shared.obs {
                 obs.queue_jobs.set(q.jobs.len() as f64);
                 obs.queue_elems.set(q.queued_elems as f64);
             }
+            let jobs_left = !q.jobs.is_empty();
             drop(q);
             shared.space.notify_all();
-            if !drained.is_empty() {
-                dispatch_flush(drained, registry, unit_tx, shared);
+            if jobs_left {
+                shared.job_ready.notify_one();
             }
+            run_flush(drained, registry, shared);
             q = shared.queue.lock().unwrap();
             continue;
         }
@@ -883,11 +873,10 @@ fn batcher_loop(
                 shared.job_ready.wait_timeout(q, remaining).unwrap().0
             }
             // Jobs pending but no deadline ahead (every pending function
-            // has a never-expiring policy, or an expired one waiting for
-            // a worker, whose finish signals `job_ready`): re-check on a
-            // coarse tick rather than parking forever, so a concurrent
-            // `set_policy` tightening a deadline takes effect within a
-            // tick instead of waiting for the next submission.
+            // has a never-expiring policy): re-check on a coarse tick
+            // rather than parking forever, so a concurrent `set_policy`
+            // tightening a deadline takes effect within a tick instead of
+            // waiting for the next submission.
             None if !q.jobs.is_empty() => {
                 shared
                     .job_ready
@@ -905,14 +894,9 @@ fn batcher_loop(
 type PendingJob<T> = (FunctionId, Payload<T>, u64, Option<Arc<SpanCell>>);
 
 /// Splits a drained batch by precision (preserving submission order
-/// within each) and sends each precision's units — a unit never mixes
-/// precisions.
-fn dispatch_flush(
-    drained: Vec<Job>,
-    registry: &FunctionRegistry,
-    unit_tx: &mpsc::Sender<FlushUnit>,
-    shared: &Shared,
-) {
+/// within each) and evaluates each precision's units — a unit never
+/// mixes precisions.
+fn run_flush(drained: Vec<Job>, registry: &FunctionRegistry, shared: &Shared) {
     let mut jobs64: Vec<PendingJob<f64>> = Vec::new();
     let mut jobs32: Vec<PendingJob<f32>> = Vec::new();
     for job in drained {
@@ -924,24 +908,23 @@ fn dispatch_flush(
     // One clock read covers the whole plan: every job in this drain was
     // planned at the same instant, and queue wait is measured to here.
     let plan_ns = shared.obs.as_ref().map(|o| o.now_ns()).unwrap_or_default();
-    if send_units(jobs64, plan_ns, registry, unit_tx, shared) {
-        send_units(jobs32, plan_ns, registry, unit_tx, shared);
-    }
+    run_units(jobs64, plan_ns, registry, shared);
+    run_units(jobs32, plan_ns, registry, shared);
 }
 
 /// Plans one precision's share of a drained batch, packs one contiguous
-/// buffer per function, and snapshots each function's current backend
-/// program for the unit — a concurrently published table applies from
-/// the next flush on, and no unit ever mixes tables (nor backends:
-/// units are per-function). `false` once the workers are gone.
-fn send_units<T: Precision>(
+/// buffer per function, and evaluates each as soon as it is packed,
+/// through a snapshot of the function's current backend program — a
+/// concurrently published table applies from the next flush on, and no
+/// unit ever mixes tables (nor backends: units are per-function).
+fn run_units<T: Precision>(
     jobs: Vec<PendingJob<T>>,
     plan_ns: u64,
     registry: &FunctionRegistry,
-    unit_tx: &mpsc::Sender<FlushUnit>,
     shared: &Shared,
-) -> bool {
+) {
     let obs = shared.obs.as_ref();
+    let faults = shared.faults.as_deref();
     let shapes: Vec<(FunctionId, usize)> =
         jobs.iter().map(|(f, p, ..)| (*f, p.data.len())).collect();
     let plan = FlushPlan::build(&shapes);
@@ -978,49 +961,23 @@ fn send_units<T: Precision>(
             u.state.flush_units.inc();
             u.state.flush_elems.record(group.total as u64);
         }
-        let unit = T::unit(Unit {
+        let unit = Unit {
             program,
             stats,
             histogram,
             xs,
             jobs: packed,
             obs: unit_obs,
-        });
-        // Workers gone (panicked) — nothing to do; senders drop and the
-        // submitters observe `Disconnected`.
-        if !send_unit(shared, unit_tx, unit) {
-            return false;
+        };
+        // Injected latency (testkit): widen the pending window so
+        // out-of-order completion is observable deterministically.
+        if let Some(delay) = faults.and_then(Faults::flush_delay) {
+            std::thread::sleep(delay);
         }
-    }
-    true
-}
-
-/// Hands one unit to the workers, counting it busy until a worker
-/// finishes it ([`UnitDone`]). `false` when every worker is gone; the
-/// unit is then dropped uncounted.
-fn send_unit(shared: &Shared, unit_tx: &mpsc::Sender<FlushUnit>, unit: FlushUnit) -> bool {
-    shared.busy_units.fetch_add(1, Ordering::SeqCst);
-    if unit_tx.send(unit).is_err() {
-        shared.busy_units.fetch_sub(1, Ordering::SeqCst);
-        return false;
-    }
-    true
-}
-
-/// Marks one received unit finished when dropped — also when its
-/// evaluation panics, so a failed unit cannot hold deadline flushes back
-/// for good.
-struct UnitDone<'a>(&'a Shared);
-
-impl Drop for UnitDone<'_> {
-    fn drop(&mut self) {
-        self.0.busy_units.fetch_sub(1, Ordering::SeqCst);
-        // Signal under the queue lock: the batcher reads the count and
-        // parks on `job_ready` under that lock, so the wakeup cannot fall
-        // between the two. (A poisoned lock still serializes, and taking
-        // it without unwrapping cannot panic in drop.)
-        let _q = self.0.queue.lock();
-        self.0.job_ready.notify_one();
+        // A panicking backend fails only this unit: unwinding drops its
+        // result senders, so its tickets observe `Disconnected`, and the
+        // worker goes on serving.
+        let _ = catch_unwind(AssertUnwindSafe(|| unit.run(faults)));
     }
 }
 
@@ -1035,32 +992,6 @@ fn record_flush_obs(u: &UnitObs, eval_start_ns: u64, stats: &flexsfu_backend::Fl
     if let Some(hw) = stats.hw {
         u.state.cycles.add(hw.cycles);
         u.state.energy_nj.add(hw.energy_nj.round() as u64);
-    }
-}
-
-/// An evaluation worker: scatter-evaluates each unit's packed buffer
-/// through its backend program (in the unit's precision) straight into
-/// per-job result buffers, records the flush cost, and completes the
-/// oneshots. Each finished unit frees a worker slot for the batcher's
-/// deadline flushes.
-fn worker_loop(rx: &Mutex<mpsc::Receiver<FlushUnit>>, shared: &Shared) {
-    let faults = shared.faults.as_deref();
-    loop {
-        // Hold the channel lock only for the dequeue, not the evaluation.
-        let unit = match rx.lock().unwrap().recv() {
-            Ok(u) => u,
-            Err(_) => return, // batcher gone: shutdown complete
-        };
-        let _done = UnitDone(shared);
-        // Injected latency (testkit): widen the pending window so
-        // out-of-order completion is observable deterministically.
-        if let Some(delay) = faults.and_then(Faults::flush_delay) {
-            std::thread::sleep(delay);
-        }
-        match unit {
-            FlushUnit::F64(unit) => unit.run(faults),
-            FlushUnit::F32(unit) => unit.run(faults),
-        }
     }
 }
 

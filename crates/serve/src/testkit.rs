@@ -30,8 +30,8 @@ use std::time::Duration;
 ///   organic one).
 /// * **Dropped replies** — the next *n* job completions drop the result
 ///   channel instead of sending, so the ticket observes
-///   [`crate::ServeError::Disconnected`]: the "worker died mid-job"
-///   path, without actually panicking a worker.
+///   [`crate::ServeError::Disconnected`]: the "backend panicked
+///   mid-unit" path, without actually panicking a backend.
 /// * **Flush delay** — every flush unit's evaluation sleeps this long
 ///   first, widening the window in which responses are pending (the
 ///   deterministic way to pin out-of-order wire multiplexing).

@@ -7,13 +7,16 @@
 //! force the races of interest — flush-deadline vs size-threshold,
 //! shutdown vs queued work, publish vs in-flight flush.
 
-use flexsfu_backend::{BackendProgram, SfuBackend};
+use flexsfu_backend::{BackendProgram, EvalBackend, FlushStats, LowerError, SfuBackend};
 use flexsfu_core::init::uniform_pwl;
 use flexsfu_core::{CompiledPwl, CompiledPwlF32, PwlEvaluator, PwlFunction};
 use flexsfu_funcs::{Gelu, Sigmoid, Tanh};
+use flexsfu_obs::{labeled, MetricsRegistry};
+use flexsfu_serve::obs::M_FLUSHES;
 use flexsfu_serve::testkit::{with_watchdog, Faults};
 use flexsfu_serve::{
-    FlushPolicy, FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeError, ServeHandle,
+    FlushPolicy, FunctionId, FunctionRegistry, JobTicket, PwlServer, ServeConfig, ServeError,
+    ServeHandle, ServeObs,
 };
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -970,5 +973,225 @@ fn unknown_function_and_future_interface() {
         };
         assert_bits_eq(&got, &want, "future-polled ticket");
         server.shutdown();
+    });
+}
+
+/// `queue_elements` bounds the accepted work that has not started
+/// evaluating. A bounced `try_submit` makes the next *free* worker drain
+/// the queue; it must not move the queue somewhere unbounded while the
+/// only worker is busy. One worker held 20 ms per unit, 100-element
+/// jobs against a 200-element bound: the accepted-but-unfinished
+/// elements never exceed `(eval_workers + 1) × queue_elements`.
+#[test]
+fn queue_bound_holds_while_workers_are_busy() {
+    with_watchdog(60, "queue_bound_holds_while_workers_are_busy", || {
+        use flexsfu_serve::testkit::noop_waker;
+        use std::future::Future;
+        use std::pin::Pin;
+        use std::task::{Context, Poll};
+
+        const QUEUE: usize = 200;
+        const LEN: usize = 100;
+        let deep = &test_functions()[1];
+        let engine = CompiledPwl::from_pwl(deep);
+        let registry = Arc::new(FunctionRegistry::new());
+        let id = registry.register("deep", deep);
+        let faults = Faults::new();
+        faults.delay_flushes(Duration::from_millis(20));
+        let server = PwlServer::start_with_faults(
+            Arc::clone(&registry),
+            ServeConfig {
+                queue_elements: QUEUE,
+                eval_workers: 1,
+                ..ServeConfig::default()
+            },
+            faults,
+        );
+        let handle = server.handle();
+        let waker = noop_waker();
+        let mut cx = Context::from_waker(&waker);
+        let mut next = rng(0xB0D);
+        let mut open: Vec<(JobTicket, Vec<f64>)> = Vec::new();
+        let (mut outstanding, mut peak, mut saw_full) = (0usize, 0usize, false);
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_millis(200) {
+            let data = request_tensor(&mut next, deep, LEN);
+            let want = engine.eval_batch(&data);
+            match handle.try_submit(id, data) {
+                Ok(ticket) => {
+                    open.push((ticket, want));
+                    outstanding += LEN;
+                }
+                Err(ServeError::QueueFull) => {
+                    saw_full = true;
+                    thread::sleep(Duration::from_micros(100));
+                }
+                Err(e) => panic!("unexpected submit error: {e}"),
+            }
+            // Poll before measuring: a ticket still open now was open
+            // at the submit above, so `outstanding` never overcounts.
+            open.retain_mut(|(ticket, want)| match Pin::new(ticket).poll(&mut cx) {
+                Poll::Ready(got) => {
+                    assert_bits_eq(&got.unwrap(), want, "completed during the run");
+                    outstanding -= LEN;
+                    false
+                }
+                Poll::Pending => true,
+            });
+            peak = peak.max(outstanding);
+        }
+        server.shutdown();
+        for (i, (ticket, want)) in open.into_iter().enumerate() {
+            assert_bits_eq(&ticket.wait().unwrap(), &want, &format!("drained job {i}"));
+        }
+        assert!(saw_full, "the run never reached the queue bound");
+        assert!(
+            peak <= 2 * QUEUE,
+            "{peak} elements outstanding against a {QUEUE}-element bound and one worker"
+        );
+    });
+}
+
+/// A backend whose every evaluation panics.
+struct PanickingBackend;
+
+impl EvalBackend for PanickingBackend {
+    fn name(&self) -> &'static str {
+        "panicking"
+    }
+
+    fn lower(&self, _: &CompiledPwl) -> Result<Arc<dyn BackendProgram>, LowerError> {
+        Ok(Arc::new(PanickingBackend))
+    }
+}
+
+impl BackendProgram for PanickingBackend {
+    fn backend_name(&self) -> &'static str {
+        "panicking"
+    }
+
+    fn eval_scatter_into(&self, _: &[f64], _: &mut [&mut [f64]]) -> FlushStats {
+        panic!("injected backend failure")
+    }
+}
+
+/// A panicking backend fails only its own unit: that job's ticket sees
+/// `Disconnected`, the one worker keeps serving, a later job on a native
+/// function completes bit-identically, and shutdown joins cleanly.
+#[test]
+fn panicking_backend_fails_only_its_own_unit() {
+    with_watchdog(30, "panicking_backend_fails_only_its_own_unit", || {
+        let functions = test_functions();
+        let engine = CompiledPwl::from_pwl(&functions[1]);
+        let registry = Arc::new(FunctionRegistry::new());
+        let bad = registry
+            .register_with_backend("bad", &functions[0], Arc::new(PanickingBackend))
+            .unwrap();
+        let good = registry.register("good", &functions[1]);
+        let server = PwlServer::start(
+            Arc::clone(&registry),
+            ServeConfig {
+                eval_workers: 1,
+                ..ServeConfig::default()
+            },
+        );
+        let handle = server.handle();
+        assert_eq!(
+            handle.submit(bad, vec![0.5; 8]).unwrap().wait(),
+            Err(ServeError::Disconnected)
+        );
+        let data = request_tensor(&mut rng(0xBAD), &functions[1], 64);
+        let want = engine.eval_batch(&data);
+        let got = handle.submit(good, data).unwrap().wait().unwrap();
+        assert_bits_eq(&got, &want, "job after the panicking unit");
+        server.shutdown();
+    });
+}
+
+/// Runs `drive` against an instrumented one-worker server over one
+/// function flushed by `policy`, shuts the server down, waits for the
+/// tickets `drive` returned, and reads `flexsfu_serve_flushes_total`
+/// as `[size, deadline, pressure, shutdown]`.
+fn flush_reasons(
+    policy: FlushPolicy,
+    queue_elements: usize,
+    drive: impl FnOnce(&ServeHandle, FunctionId) -> Vec<JobTicket>,
+) -> [u64; 4] {
+    let metrics = Arc::new(MetricsRegistry::new());
+    let registry = Arc::new(FunctionRegistry::new());
+    let id = registry.register("deep", &test_functions()[1]);
+    registry.set_policy(id, Some(policy)).unwrap();
+    let server = PwlServer::start_with_obs(
+        Arc::clone(&registry),
+        ServeConfig {
+            queue_elements,
+            eval_workers: 1,
+            ..ServeConfig::default()
+        },
+        ServeObs::with_defaults(Arc::clone(&metrics)),
+    );
+    let tickets = drive(&server.handle(), id);
+    server.shutdown();
+    for ticket in tickets {
+        ticket.wait().expect("accepted job completes");
+    }
+    ["size", "deadline", "pressure", "shutdown"].map(|reason| {
+        metrics
+            .counter(&labeled(M_FLUSHES, &[("reason", reason)]))
+            .get()
+    })
+}
+
+/// Each flush reason, pinned by one deterministic scenario that moves
+/// only its own counter.
+#[test]
+fn flush_reason_counters_count_one_reason_each() {
+    with_watchdog(30, "flush_reason_counters_count_one_reason_each", || {
+        const BIG: usize = 1 << 20;
+        let never = FlushPolicy {
+            max_elems: BIG,
+            deadline: Duration::MAX,
+        };
+        let size = flush_reasons(
+            FlushPolicy {
+                max_elems: 64,
+                ..never
+            },
+            BIG,
+            |handle, id| {
+                handle.submit(id, vec![0.5; 64]).unwrap().wait().unwrap();
+                Vec::new()
+            },
+        );
+        assert_eq!(size, [1, 0, 0, 0], "one submit of max_elems elements");
+
+        let deadline = flush_reasons(
+            FlushPolicy {
+                deadline: Duration::ZERO,
+                ..never
+            },
+            BIG,
+            |handle, id| {
+                handle.submit(id, vec![0.5; 8]).unwrap().wait().unwrap();
+                Vec::new()
+            },
+        );
+        assert_eq!(deadline, [0, 1, 0, 0], "zero deadline, idle worker");
+
+        let pressure = flush_reasons(never, 100, |handle, id| {
+            let first = handle.submit(id, vec![0.5; 100]).unwrap();
+            assert_eq!(
+                handle.try_submit(id, vec![0.5]).err(),
+                Some(ServeError::QueueFull)
+            );
+            first.wait().unwrap();
+            Vec::new()
+        });
+        assert_eq!(pressure, [0, 0, 1, 0], "a try_submit bounce");
+
+        let shutdown = flush_reasons(never, BIG, |handle, id| {
+            vec![handle.submit(id, vec![0.5; 8]).unwrap()]
+        });
+        assert_eq!(shutdown, [0, 0, 0, 1], "drained by shutdown");
     });
 }

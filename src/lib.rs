@@ -30,8 +30,8 @@
 //! * [`nn`] — the small DNN substrate for end-to-end accuracy
 //!   experiments; activation substitution batch-evaluates whole tensors,
 //! * [`serve`] — the request-batched serving front-end: concurrent
-//!   clients submit `(function, tensor)` jobs, a batcher coalesces them
-//!   into engine-scale flushes, and recompiled tables hot-swap without
+//!   clients submit `(function, tensor)` jobs, the free worker coalesces
+//!   them into engine-scale flushes and evaluates them, and recompiled tables hot-swap without
 //!   stopping traffic,
 //! * [`wire`] — the std-only TCP serving tier: a hand-rolled
 //!   length-prefixed binary frame protocol carrying f64/f32 jobs
