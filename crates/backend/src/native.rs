@@ -6,10 +6,11 @@ use flexsfu_core::{CompiledPwl, CompiledPwlF32, Element, ParallelPwl};
 use std::sync::Arc;
 
 /// The native backend: lowering is a no-op re-wrap of the engine, and
-/// evaluation runs the runtime-dispatched SIMD lane kernels (threaded
-/// above the [`ParallelPwl`] crossover). Results are bit-identical to
-/// scalar f64 [`flexsfu_core::PwlFunction::eval`] — this backend *is*
-/// the reference the others are measured against.
+/// evaluation runs the runtime-dispatched SIMD lane kernels, split
+/// across every thread from 32 Ki elements on (the [`ParallelPwl`]
+/// crossover), even when the call holds one job. Results are
+/// bit-identical to scalar f64 [`flexsfu_core::PwlFunction::eval`] —
+/// this backend *is* the reference the others are measured against.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NativeBackend;
 

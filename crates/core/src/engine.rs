@@ -102,7 +102,8 @@
 //! * [`PwlEvaluator::eval_into`] / [`PwlEvaluator::eval_batch`] — chunked
 //!   batch evaluation; the workhorse for loss grids and tensors.
 //! * [`ParallelPwl`] — the same batch API fanned out over threads with
-//!   `std::thread::scope`; worthwhile from roughly 10⁵ elements.
+//!   `std::thread::scope`; serial below 32 Ki elements, where thread
+//!   spawning would cost more than it saves.
 //!
 //! # Examples
 //!
@@ -1260,9 +1261,11 @@ impl<T: Element> PwlEngine<T> {
     /// per-request buffers. Evaluation proceeds through the same chunked
     /// SIMD kernels as [`PwlEvaluator::eval_into`] on the *packed* buffer
     /// — lane groups span job boundaries, so a flush of many tiny jobs
-    /// does not degenerate to remainder handling — and only the copy-out
-    /// is per-job. Results are bit-identical to evaluating the packed
-    /// buffer contiguously.
+    /// does not degenerate to remainder handling. A chunk that lies
+    /// inside one job is evaluated straight into it; only a chunk that
+    /// straddles a job boundary goes through a scratch buffer (allocated
+    /// on first use) and a per-job copy-out. Results are bit-identical to
+    /// evaluating the packed buffer contiguously.
     ///
     /// # Panics
     ///
@@ -1271,10 +1274,21 @@ impl<T: Element> PwlEngine<T> {
         let total: usize = outs.iter().map(|o| o.len()).sum();
         assert_eq!(xs.len(), total, "output slices must partition the input");
         let k = self.kernel();
-        let mut scratch = vec![T::ZERO; xs.len().min(CHUNK)];
+        let mut scratch = Vec::new();
         let mut job = 0usize; // output slice currently being filled
         let mut filled = 0usize; // elements of outs[job] already written
         for xc in xs.chunks(CHUNK) {
+            while outs[job].len() == filled {
+                job += 1;
+                filled = 0;
+            }
+            let end = filled + xc.len();
+            if end <= outs[job].len() {
+                self.run::<false>(k, xc, &mut outs[job][filled..end], &mut []);
+                filled = end;
+                continue;
+            }
+            scratch.resize(xs.len().min(CHUNK), T::ZERO); // allocates once
             let sc = &mut scratch[..xc.len()];
             self.run::<false>(k, xc, sc, &mut []);
             let mut off = 0;
@@ -1606,10 +1620,12 @@ impl CompiledPwlF32 {
 
 /// A [`PwlEngine`] that fans batch evaluation out over OS threads.
 ///
-/// Small batches (below ~32 k elements) run serially — the crossover where
-/// thread spawning pays for itself. Results are identical to the serial
-/// engine regardless of thread count: the input is split into contiguous
-/// slices and every element is evaluated by the same bit-exact kernel.
+/// Small batches (below 32 Ki elements) run serially — the crossover where
+/// thread spawning pays for itself. Larger ones are cut into one
+/// contiguous run per thread at element boundaries, so a single large
+/// job uses every thread. Results are identical to the serial engine
+/// regardless of thread count: every element is evaluated by the same
+/// bit-exact kernel.
 ///
 /// # Examples
 ///
@@ -1665,12 +1681,14 @@ impl<T: Element> ParallelPwl<T> {
     /// The threaded counterpart of [`PwlEngine::eval_scatter_into`]:
     /// evaluates the packed input and scatters results into the
     /// non-contiguous output slices, fanning work out over threads for
-    /// large flushes. The output list is split into contiguous *runs* of
-    /// roughly equal element counts at job boundaries (a single job is
-    /// never split across threads), so each thread runs the serial
-    /// scatter kernel on an independent `(input subrange, output run)`
-    /// pair — results are identical to the serial path regardless of
-    /// thread count.
+    /// large flushes. The packed input is cut into at most `threads`
+    /// contiguous runs of at most `total.div_ceil(threads)` elements
+    /// each; where a cut falls inside a job, that job's output slice is
+    /// split there, so a single large job is shared by every thread. Each
+    /// run evaluates its own `(input subrange, output pieces)` pair with
+    /// the serial scatter kernel, the last one on the calling thread —
+    /// results are identical to the serial path regardless of thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -1682,36 +1700,37 @@ impl<T: Element> ParallelPwl<T> {
             return self.inner.eval_scatter_into(xs, outs);
         }
         let per = total.div_ceil(self.threads);
+        let mut runs = split_runs(outs, per);
+        let mut last = runs.pop().expect("split_runs makes at least one run");
+        let (xs, xs_last) = xs.split_at(runs.len() * per);
+        let engine = &self.inner;
         std::thread::scope(|scope| {
-            let mut rest = outs;
-            let mut off = 0usize;
-            let mut runs_left = self.threads;
-            while !rest.is_empty() {
-                // Greedily take whole jobs up to ~`per` elements; an
-                // oversized job becomes a run of its own. The final
-                // allowed run absorbs everything left, so no more than
-                // `threads` runs (and threads) are ever created.
-                let mut take_elems = 0usize;
-                let mut k = 0usize;
-                if runs_left == 1 {
-                    k = rest.len();
-                    take_elems = total - off;
-                } else {
-                    while k < rest.len() && (k == 0 || take_elems + rest[k].len() <= per) {
-                        take_elems += rest[k].len();
-                        k += 1;
-                    }
-                }
-                runs_left -= 1;
-                let run;
-                (run, rest) = rest.split_at_mut(k);
-                let xc = &xs[off..off + take_elems];
-                off += take_elems;
-                let engine = &self.inner;
-                scope.spawn(move || engine.eval_scatter_into(xc, run));
+            for (xc, mut run) in xs.chunks(per).zip(runs) {
+                scope.spawn(move || engine.eval_scatter_into(xc, &mut run));
             }
+            engine.eval_scatter_into(xs_last, &mut last);
         });
     }
+}
+
+/// Cuts the output slices `outs` into consecutive runs of at most `per`
+/// elements (`per > 0`), in order, splitting a slice where a run ends
+/// inside it. Every run but the last holds exactly `per` elements, so a
+/// non-empty input makes `total.div_ceil(per)` runs.
+fn split_runs<'a, T>(outs: &'a mut [&mut [T]], per: usize) -> Vec<Vec<&'a mut [T]>> {
+    let mut runs = vec![Vec::new()];
+    let mut room = per; // elements the newest run can still take
+    for mut rest in outs.iter_mut().map(|out| &mut **out) {
+        while rest.len() > room {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(room);
+            runs.last_mut().unwrap().push(head);
+            runs.push(Vec::new());
+            (rest, room) = (tail, per);
+        }
+        room -= rest.len();
+        runs.last_mut().unwrap().push(rest);
+    }
+    runs
 }
 
 impl<T: Element> PwlEvaluator<T> for ParallelPwl<T> {
@@ -1721,18 +1740,7 @@ impl<T: Element> PwlEvaluator<T> for ParallelPwl<T> {
 
     fn eval_into(&self, xs: &[T], out: &mut [T]) {
         assert_eq!(xs.len(), out.len(), "input/output length mismatch");
-        let n = xs.len();
-        if self.threads == 1 || n < PARALLEL_MIN_ELEMENTS {
-            return self.inner.eval_into(xs, out);
-        }
-        let workers = self.threads.min(n);
-        let per = n.div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (xc, oc) in xs.chunks(per).zip(out.chunks_mut(per)) {
-                let engine = &self.inner;
-                scope.spawn(move || engine.eval_into(xc, oc));
-            }
-        });
+        self.eval_scatter_into(xs, &mut [out]);
     }
 }
 
@@ -1842,16 +1850,29 @@ pub(crate) mod tests {
         check_scatter(&c, &xs, &sizes, |xs, outs| par.eval_scatter_into(xs, outs));
     }
 
-    pub(crate) fn check_scatter_parallel_splits_at_job_boundaries<T: Element>() {
-        // Above PARALLEL_MIN_ELEMENTS so the threaded path engages, with
-        // one oversized job that must become a run of its own.
+    pub(crate) fn check_scatter_parallel_splits_inside_jobs<T: Element>() {
+        // Above PARALLEL_MIN_ELEMENTS so the threaded path engages. The
+        // runs are cut at element counts, not job edges: one oversized
+        // job, or a single job, is shared by several runs. In the last
+        // layout (4 threads, a cut every `q` elements) the first cut
+        // lands exactly on a job edge and the second one element inside
+        // a job.
         let c = PwlEngine::<T>::from_pwl(&sample_pwl());
         let n = PARALLEL_MIN_ELEMENTS * 2;
-        let xs = dense_grid::<T>(-6.0, 6.0, n);
-        let par = ParallelPwl::with_threads(c.clone(), 4);
-        check_scatter(&c, &xs, &[300, n - 1000, 0, 700], |xs, outs| {
-            par.eval_scatter_into(xs, outs)
-        });
+        let q = n / 4;
+        let layouts: [&[usize]; 4] = [
+            &[300, n - 1000, 0, 700],
+            &[n],
+            &[PARALLEL_MIN_ELEMENTS + 1],
+            &[q, q - 1, 2, n - 2 * q - 1],
+        ];
+        for sizes in layouts {
+            let xs = dense_grid::<T>(-6.0, 6.0, sizes.iter().sum());
+            for threads in 2..=4 {
+                let par = ParallelPwl::with_threads(c.clone(), threads);
+                check_scatter(&c, &xs, sizes, |xs, outs| par.eval_scatter_into(xs, outs));
+            }
+        }
     }
 
     pub(crate) fn check_scatter_accepts_empty_input_and_outputs<T: Element>() {
@@ -2167,16 +2188,16 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scatter_parallel_splits_at_job_boundaries() {
-        check_scatter_parallel_splits_at_job_boundaries::<f64>();
+    fn scatter_parallel_splits_inside_jobs() {
+        check_scatter_parallel_splits_inside_jobs::<f64>();
     }
 
     #[test]
-    fn scatter_parallel_caps_runs_at_thread_count() {
-        // 7 jobs, each just over half the per-thread share: the greedy
-        // splitter would otherwise make 7 single-job runs on a 4-thread
-        // engine; the cap folds the tail into the final run. Results
-        // must be unchanged.
+    fn scatter_parallel_runs_hold_equal_element_shares() {
+        // 7 jobs, each just over half the per-thread share: on a
+        // 4-thread engine every run but the last takes exactly
+        // `total.div_ceil(4)` elements, so the cuts fall inside jobs and
+        // 4 runs cover all 7 jobs. Results must be unchanged.
         let c = CompiledPwl::from_pwl(&sample_pwl());
         let job = (PARALLEL_MIN_ELEMENTS * 2).div_ceil(7) + 1;
         let xs = dense_grid::<f64>(-6.0, 6.0, job * 7);
@@ -2184,6 +2205,50 @@ pub(crate) mod tests {
         check_scatter(&c, &xs, &[job; 7], |xs, outs| {
             par.eval_scatter_into(xs, outs)
         });
+    }
+
+    #[test]
+    fn split_runs_partitions_the_elements_in_order() {
+        let big = PARALLEL_MIN_ELEMENTS * 2;
+        let layouts: [&[usize]; 6] = [
+            &[0, 7, 1, 0, 4096, 513, 0, 31, 5352, 0],
+            &[big],
+            // Two threads cut at 50: on a job edge, then one element
+            // inside a job, then one element before a job's end.
+            &[50, 50],
+            &[49, 51],
+            &[51, 49],
+            // 17 elements: not divisible by 2, 3 or 4 threads.
+            &[10, 0, 7],
+        ];
+        for sizes in layouts {
+            let total: usize = sizes.iter().sum();
+            for threads in 1..=4 {
+                let per = total.div_ceil(threads);
+                let mut bufs: Vec<Vec<usize>> = sizes.iter().map(|&n| vec![0; n]).collect();
+                let mut views: Vec<&mut [usize]> =
+                    bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+                let runs = split_runs(&mut views, per);
+                let label = format!("{sizes:?} over {threads} threads");
+                assert!(runs.len() <= threads, "{label}: {} runs", runs.len());
+                let mut next = 0;
+                for run in runs {
+                    let len: usize = run.iter().map(|p| p.len()).sum();
+                    assert!(len <= per, "{label}: a run of {len} > {per}");
+                    for piece in run {
+                        for slot in piece.iter_mut() {
+                            *slot = next;
+                            next += 1;
+                        }
+                    }
+                }
+                assert_eq!(next, total, "{label}: runs miss elements");
+                assert!(
+                    bufs.concat().into_iter().eq(0..total),
+                    "{label}: runs are out of order"
+                );
+            }
+        }
     }
 
     #[test]

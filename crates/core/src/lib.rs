@@ -209,8 +209,8 @@ pub mod engine_f32 {
         }
 
         #[test]
-        fn scatter_parallel_splits_at_job_boundaries() {
-            check_scatter_parallel_splits_at_job_boundaries::<f32>();
+        fn scatter_parallel_splits_inside_jobs() {
+            check_scatter_parallel_splits_inside_jobs::<f32>();
         }
 
         #[test]
