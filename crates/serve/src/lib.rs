@@ -56,9 +56,10 @@
 //!   complete), and [`ServeHandle::queue_depth`] reads the pending
 //!   job/element counts a shard reports in health-check pongs. The
 //!   [`testkit`] additionally offers deterministic fault injection
-//!   ([`testkit::Faults`]: forced `QueueFull`, dropped replies, delayed
-//!   flushes) via [`PwlServer::start_with_faults`], so protocol suites
-//!   drive retry and backpressure paths instead of racing for them.
+//!   ([`testkit::Faults`]: forced `QueueFull`, dropped replies, and a
+//!   flush gate that parks units until the test lets them through) via
+//!   [`PwlServer::start_with_faults`], so protocol suites drive retry,
+//!   backpressure and busy-worker paths instead of racing for them.
 //! * **Streaming input histograms** — every function accumulates a
 //!   fixed-bucket histogram of the raw inputs its flushes evaluate
 //!   (both precisions), alongside its backend stats. Read it cumulative

@@ -54,7 +54,9 @@ pub struct ServeObs {
 impl ServeObs {
     /// Bundles an explicit recorder (use a
     /// [`flexsfu_obs::ManualClock`]-backed one for deterministic
-    /// replays).
+    /// replays). The recorder's clock is also the server's policy time:
+    /// on a manual clock, a nonzero flush deadline expires only when the
+    /// clock is advanced (see [`crate::FlushPolicy::deadline`]).
     pub fn new(metrics: Arc<MetricsRegistry>, spans: Arc<SpanRecorder>) -> Self {
         Self { metrics, spans }
     }
@@ -85,10 +87,8 @@ pub(crate) struct ObsState {
     pub(crate) submits: Arc<Counter>,
     pub(crate) queue_jobs: Arc<Gauge>,
     pub(crate) queue_elems: Arc<Gauge>,
-    pub(crate) flush_size: Arc<Counter>,
-    pub(crate) flush_deadline: Arc<Counter>,
-    pub(crate) flush_pressure: Arc<Counter>,
-    pub(crate) flush_shutdown: Arc<Counter>,
+    /// Flush triggers, indexed by [`crate::plan::Reason`].
+    pub(crate) flushes: [Arc<Counter>; 4],
     pub(crate) flush_units: Arc<Counter>,
     pub(crate) flush_elems: Arc<LogHistogram>,
     pub(crate) eval_ns_all: Arc<LogHistogram>,
@@ -107,10 +107,8 @@ impl ObsState {
             submits: m.counter(M_SUBMITS),
             queue_jobs: m.gauge(M_QUEUE_JOBS),
             queue_elems: m.gauge(M_QUEUE_ELEMS),
-            flush_size: m.counter(&labeled(M_FLUSHES, &[("reason", "size")])),
-            flush_deadline: m.counter(&labeled(M_FLUSHES, &[("reason", "deadline")])),
-            flush_pressure: m.counter(&labeled(M_FLUSHES, &[("reason", "pressure")])),
-            flush_shutdown: m.counter(&labeled(M_FLUSHES, &[("reason", "shutdown")])),
+            flushes: ["size", "deadline", "shutdown", "pressure"]
+                .map(|reason| m.counter(&labeled(M_FLUSHES, &[("reason", reason)]))),
             flush_units: m.counter(M_FLUSH_UNITS),
             flush_elems: m.histogram(M_FLUSH_ELEMS),
             eval_ns_all: m.histogram(M_EVAL_NS),
@@ -120,12 +118,6 @@ impl ObsState {
             metrics: Arc::clone(m),
             per_func: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// One clock read.
-    #[inline]
-    pub(crate) fn now_ns(&self) -> u64 {
-        self.spans.now_ns()
     }
 
     /// The labelled handles for `func`, resolving (and allocating) only

@@ -119,22 +119,14 @@ impl<T> Receiver<T> {
     ///
     /// Returns [`RecvError`] if the sender was dropped without sending.
     pub fn recv(self) -> Result<T, RecvError> {
-        let mut s = self.inner.state.lock().unwrap();
-        loop {
-            match std::mem::replace(&mut *s, State::Dropped) {
-                State::Sent(v) => return Ok(v),
-                State::Dropped => return Err(RecvError),
-                pending @ State::Pending(_) => {
-                    *s = pending;
-                    s = self.inner.cv.wait(s).unwrap();
-                }
-            }
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
     /// Bounded [`Self::recv`]: waits at most `timeout` for the value.
     /// The health-check path of the wire tier waits on pongs with this —
-    /// a dead peer costs a bounded wait, never a hang.
+    /// a dead peer costs a bounded wait, never a hang. A timeout too
+    /// large for the clock (e.g. [`Duration::MAX`]) means "never": the
+    /// call is a plain [`Self::recv`].
     ///
     /// # Errors
     ///
@@ -142,21 +134,28 @@ impl<T> Receiver<T> {
     /// [`RecvTimeoutError::Disconnected`] if the sender was dropped
     /// without sending.
     pub fn recv_timeout(self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        self.recv_until(Instant::now().checked_add(timeout))
+    }
+
+    /// Waits for the value until `deadline`, or for good without one.
+    fn recv_until(self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
         let mut s = self.inner.state.lock().unwrap();
         loop {
             match std::mem::replace(&mut *s, State::Dropped) {
                 State::Sent(v) => return Ok(v),
                 State::Dropped => return Err(RecvTimeoutError::Disconnected),
-                pending @ State::Pending(_) => {
-                    *s = pending;
+                pending @ State::Pending(_) => *s = pending,
+            }
+            s = match deadline {
+                None => self.inner.cv.wait(s).unwrap(),
+                Some(deadline) => {
                     let now = Instant::now();
                     if now >= deadline {
                         return Err(RecvTimeoutError::Timeout);
                     }
-                    s = self.inner.cv.wait_timeout(s, deadline - now).unwrap().0;
+                    self.inner.cv.wait_timeout(s, deadline - now).unwrap().0
                 }
-            }
+            };
         }
     }
 
@@ -221,6 +220,18 @@ mod tests {
         drop(tx);
         assert_eq!(
             rx.recv_timeout(std::time::Duration::from_secs(5)),
+            Err(RecvTimeoutError::Disconnected)
+        );
+
+        // A timeout past the clock's range waits like `recv`.
+        let (tx, rx) = channel();
+        let t = std::thread::spawn(move || rx.recv_timeout(Duration::MAX));
+        tx.send(9u8);
+        assert_eq!(t.join().unwrap(), Ok(9));
+        let (tx, rx) = channel::<u8>();
+        drop(tx);
+        assert_eq!(
+            rx.recv_timeout(Duration::MAX),
             Err(RecvTimeoutError::Disconnected)
         );
     }

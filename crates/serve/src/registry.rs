@@ -155,6 +155,12 @@ impl FunctionRegistry {
         Self::default()
     }
 
+    /// `read` applied to `id`'s entry under the read lock, or `None` if
+    /// `id` is unregistered.
+    fn read<R>(&self, id: FunctionId, read: impl FnOnce(&Entry) -> R) -> Option<R> {
+        self.entries.read().unwrap().get(id.0 as usize).map(read)
+    }
+
     /// Compiles `pwl` and registers it under `name` on the **native**
     /// backend, returning its id. Registering while a server is running
     /// is allowed; jobs may name the new id as soon as this returns.
@@ -286,11 +292,7 @@ impl FunctionRegistry {
         // traffic". The backend of an entry never changes after
         // registration, so the snapshot cannot go stale.
         let backend = self
-            .entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| Arc::clone(&e.backend))
+            .read(id, |e| Arc::clone(&e.backend))
             .ok_or(crate::ServeError::UnknownFunction(id))?;
         let bound = bind(&backend, engine)?;
         // The write lock is now held only for the swap; the whole binding
@@ -307,11 +309,7 @@ impl FunctionRegistry {
     /// The returned `Arc` stays valid (and unchanged) across later
     /// [`Self::publish`] calls — snapshot semantics.
     pub fn engine(&self, id: FunctionId) -> Option<Arc<ParallelPwl>> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| Arc::clone(&e.bound.engine))
+        self.read(id, |e| Arc::clone(&e.bound.engine))
     }
 
     /// Snapshot of the backend program (in precision `T`), stats sink
@@ -329,17 +327,14 @@ impl FunctionRegistry {
         Arc<StatsAccumulator>,
         Arc<HistogramAccum>,
     )> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .and_then(|e| {
-                Some((
-                    Arc::clone(T::program(e)?),
-                    Arc::clone(&e.stats),
-                    Arc::clone(&e.histogram),
-                ))
-            })
+        self.read(id, |e| {
+            Some((
+                Arc::clone(T::program(e)?),
+                Arc::clone(&e.stats),
+                Arc::clone(&e.histogram),
+            ))
+        })
+        .flatten()
     }
 
     /// Whether `id`'s backend can serve precision `T` ([`None`] if `id`
@@ -347,11 +342,7 @@ impl FunctionRegistry {
     /// publishes re-lower through the same backend, so the answer never
     /// changes over an entry's lifetime.
     pub(crate) fn supports<T: Precision>(&self, id: FunctionId) -> Option<bool> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| T::program(e).is_some())
+        self.read(id, |e| T::program(e).is_some())
     }
 
     /// Whether `id`'s backend can serve f32 jobs ([`None`] if `id` is
@@ -365,29 +356,17 @@ impl FunctionRegistry {
     /// table as [`Self::engine`]. Snapshot semantics, like
     /// [`Self::engine`].
     pub fn engine_f32(&self, id: FunctionId) -> Option<Arc<ParallelPwlF32>> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| Arc::clone(&e.bound.engine_f32))
+        self.read(id, |e| Arc::clone(&e.bound.engine_f32))
     }
 
     /// The bound backend's name for `id` (`"native"`, `"sfu-emu"`, …).
     pub fn backend_name(&self, id: FunctionId) -> Option<&'static str> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| e.backend.name())
+        self.read(id, |e| e.backend.name())
     }
 
     /// Accumulated backend activity of `id` since registration.
     pub fn backend_stats(&self, id: FunctionId) -> Option<BackendStatsSnapshot> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| e.stats.snapshot())
+        self.read(id, |e| e.stats.snapshot())
     }
 
     /// Cumulative input histogram of `id` since registration (or the
@@ -396,11 +375,7 @@ impl FunctionRegistry {
     /// span of the table `id` was *registered* with and survives
     /// [`Self::publish`], so readings stay comparable across hot-swaps.
     pub fn input_histogram(&self, id: FunctionId) -> Option<InputHistogramSnapshot> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| e.histogram.snapshot())
+        self.read(id, |e| e.histogram.snapshot())
     }
 
     /// Atomically snapshots **and resets** `id`'s input histogram — the
@@ -409,11 +384,7 @@ impl FunctionRegistry {
     /// into the cumulative view ([`InputHistogramSnapshot::merge`])
     /// because counts are plain sums.
     pub fn drain_input_histogram(&self, id: FunctionId) -> Option<InputHistogramSnapshot> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| e.histogram.drain())
+        self.read(id, |e| e.histogram.drain())
     }
 
     /// Sets (or clears, with `None`) the per-function flush policy of
@@ -444,11 +415,7 @@ impl FunctionRegistry {
 
     /// The explicit flush policy of `id`, if one was set.
     pub fn policy(&self, id: FunctionId) -> Option<FlushPolicy> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .and_then(|e| e.policy)
+        self.read(id, |e| e.policy).flatten()
     }
 
     /// Whether `id` is registered — the submission hot path's validation
@@ -461,11 +428,7 @@ impl FunctionRegistry {
     /// The registration name of `id` — the inverse of [`Self::id_of`]
     /// (used e.g. to label per-function metric series).
     pub fn name_of(&self, id: FunctionId) -> Option<String> {
-        self.entries
-            .read()
-            .unwrap()
-            .get(id.0 as usize)
-            .map(|e| e.name.clone())
+        self.read(id, |e| e.name.clone())
     }
 
     /// Looks an id up by registration name (first match).

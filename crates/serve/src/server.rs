@@ -24,6 +24,9 @@
 //! pattern). A free worker, under the queue lock, checks every pending
 //! function's policy and drains the due function with the oldest
 //! pending job — on shutdown or queue pressure, every pending function.
+//! That decision is a pure function of the pending queue and one reading
+//! of the span clock (`plan::decide`), which is also the server's policy
+//! time.
 //! If jobs are still queued it wakes one sibling, then it drops the lock
 //! and plans, packs and evaluates what it drained.
 //!
@@ -57,18 +60,17 @@ use crate::error::ServeError;
 use crate::histogram::HistogramAccum;
 use crate::obs::{FuncObs, ObsState, ServeObs};
 use crate::oneshot;
-use crate::plan::FlushPlan;
+use crate::plan::{decide, take_jobs, Decision, FlushPlan, FuncPending, Pending};
 use crate::registry::{Entry, FunctionId, FunctionRegistry, StatsAccumulator};
 use crate::testkit::Faults;
 use flexsfu_backend::BackendProgram;
 use flexsfu_core::Element;
-use flexsfu_obs::{SpanCell, Stage};
-use std::collections::HashMap;
+use flexsfu_obs::{Clock, MonotonicClock, SpanCell, Stage};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// When one function's pending jobs flush: once a worker is free and
 /// either `max_elems` of them are pending or the oldest of them has
@@ -105,6 +107,11 @@ pub struct FlushPolicy {
     /// A deadline too large for the clock (e.g. [`Duration::MAX`])
     /// saturates to "never": the function then flushes only on size,
     /// queue pressure, or shutdown.
+    ///
+    /// Policy time is the span clock: the [`crate::ServeObs`] recorder's
+    /// clock on an observed server, a monotonic clock otherwise. So on a
+    /// server observed through a [`flexsfu_obs::ManualClock`], a nonzero
+    /// deadline expires only when the test advances that clock.
     pub deadline: Duration,
 }
 
@@ -118,8 +125,9 @@ pub struct ServeConfig {
     /// Default per-function deadline: a function flushes once its
     /// oldest pending job has waited this long and a worker is free.
     /// The default, [`Duration::ZERO`], flushes whenever a worker is
-    /// free; a nonzero value holds jobs to coalesce them (see
-    /// [`FlushPolicy::deadline`]).
+    /// free; a nonzero value holds jobs to coalesce them. It runs on the
+    /// span clock, so under a [`flexsfu_obs::ManualClock`] it expires
+    /// only when that clock is advanced (see [`FlushPolicy::deadline`]).
     pub flush_interval: Duration,
     /// Backpressure bound: the queue admits at most this many pending
     /// *elements* (a job larger than the whole bound is admitted alone
@@ -228,19 +236,6 @@ impl Precision for f32 {
 /// channel, trace cell)` in packed order.
 type PackedJob<T> = (usize, oneshot::Sender<Vec<T>>, Option<Arc<SpanCell>>);
 
-/// One function's packed share of a flush, ready to evaluate: the
-/// backend program snapshot it evaluates through (in the flush's
-/// precision — a unit never mixes precisions, just as it never mixes
-/// functions), and the stats sink the flush's cost lands in.
-pub(crate) struct Unit<T: Element> {
-    program: Arc<dyn BackendProgram<T>>,
-    stats: Arc<StatsAccumulator>,
-    histogram: Arc<HistogramAccum>,
-    xs: Vec<T>,
-    jobs: Vec<PackedJob<T>>,
-    obs: Option<UnitObs>,
-}
-
 /// The observability handles one flush unit carries: the global state
 /// plus the unit's function-labelled series, both pre-resolved — the
 /// evaluation records without locks or allocation.
@@ -249,33 +244,12 @@ struct UnitObs {
     func: Arc<FuncObs>,
 }
 
-/// Per-function pending aggregate — the flush-policy triggers.
-struct FuncPending {
-    /// Pending elements of this function.
-    elems: usize,
-    /// Arrival time of its oldest pending job — the deadline anchor.
-    oldest: Instant,
-}
-
 /// Queue state behind the mutex.
 struct QueueState {
     jobs: Vec<Job>,
     queued_elems: usize,
-    /// Aggregates per function with pending jobs.
-    pending: HashMap<FunctionId, FuncPending>,
-    /// Submitters currently parked on the element bound. Non-zero means
-    /// the queue is saturated: the next free worker flushes
-    /// *everything* rather than letting one long-deadline function hold
-    /// the shared bound — and with it every other function's admissions
-    /// — hostage.
-    space_waiters: usize,
-    /// Set when a non-blocking `try_submit` bounced off the full queue.
-    /// A free worker consumes it as a one-shot pressure signal, so pure
-    /// `try_submit` producers (which never park and so never raise
-    /// `space_waiters`) also force a drain instead of seeing
-    /// `QueueFull` forever against a never-flushing function.
-    rejected_full: bool,
-    shutdown: bool,
+    /// What the flush decision reads.
+    pending: Pending,
 }
 
 /// The mutex/condvar trio the handles and workers share.
@@ -292,6 +266,9 @@ struct Shared {
     /// Observability handles ([`PwlServer::start_with_obs`]); `None`
     /// keeps every instrumented site a single branch.
     obs: Option<Arc<ObsState>>,
+    /// Policy time: the span recorder's clock when observed, else a
+    /// monotonic one — the anchors, deadlines and span stamps share it.
+    clock: Arc<dyn Clock>,
 }
 
 impl Shared {
@@ -403,9 +380,10 @@ impl PwlServer {
     }
 
     /// [`Self::start`] with a [`crate::testkit::Faults`] injector
-    /// installed — test-support only: the wire-protocol suites use it to
-    /// deterministically trigger backpressure, dropped-reply and
-    /// delayed-flush paths instead of racing for them.
+    /// installed — test-support only: the serving and wire-protocol
+    /// suites use it to deterministically trigger backpressure and
+    /// dropped replies, and to hold workers busy at the flush gate,
+    /// instead of racing for them.
     ///
     /// # Panics
     ///
@@ -427,19 +405,21 @@ impl PwlServer {
         assert!(config.flush_elements > 0, "flush_elements must be nonzero");
         assert!(config.queue_elements > 0, "queue_elements must be nonzero");
         assert!(config.eval_workers > 0, "need at least one eval worker");
+        let clock = match &obs {
+            Some(o) => o.spans.clock(),
+            None => Arc::new(MonotonicClock::new()),
+        };
         let shared = Arc::new(Shared {
             queue: Mutex::new(QueueState {
                 jobs: Vec::new(),
                 queued_elems: 0,
-                pending: HashMap::new(),
-                space_waiters: 0,
-                rejected_full: false,
-                shutdown: false,
+                pending: Pending::default(),
             }),
             job_ready: Condvar::new(),
             space: Condvar::new(),
             faults,
             obs: obs.as_ref().map(|o| Arc::new(ObsState::new(o))),
+            clock,
         });
 
         let default_policy = config.default_policy();
@@ -496,7 +476,7 @@ impl PwlServer {
     pub fn begin_drain(&self) {
         {
             let mut q = self.shared.queue.lock().unwrap();
-            q.shutdown = true;
+            q.pending.shutdown = true;
         }
         self.shared.job_ready.notify_all();
         self.shared.space.notify_all();
@@ -630,7 +610,7 @@ impl ServeHandle {
     /// ([`PwlServer::begin_drain`] / [`PwlServer::shutdown`] / drop).
     /// Jobs accepted before that point still complete.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.queue.lock().unwrap().shutdown
+        self.shared.queue.lock().unwrap().pending.shutdown
     }
 
     fn submit_lane<T: Precision>(
@@ -666,54 +646,55 @@ impl ServeHandle {
     ) -> Result<Option<Arc<SpanCell>>, ServeError> {
         // One clock read up front (observability on only): the Submit
         // stamp must predate any time spent parked on the element bound.
-        let submit_ns = self.shared.obs.as_ref().map(|o| o.now_ns());
+        let submit_ns = self.shared.obs.as_ref().map(|o| o.spans.now_ns());
         // Injected backpressure (testkit): a forced bounce takes the
-        // exact organic path — flag the pressure and wake a worker —
-        // so the retry loop under test exercises the real signals.
-        // Non-blocking admissions only: forcing a *blocking* submit full
-        // would just park it, which is not a fault worth injecting.
-        if !block {
-            if let Some(faults) = &self.shared.faults {
-                if faults.take_queue_full() {
-                    let mut q = self.shared.queue.lock().unwrap();
-                    q.rejected_full = true;
-                    drop(q);
-                    self.shared.job_ready.notify_one();
-                    return Err(ServeError::QueueFull);
-                }
-            }
-        }
+        // exact organic path below — flag the pressure and wake a
+        // worker — so the retry loop under test exercises the real
+        // signals. Non-blocking admissions only: forcing a *blocking*
+        // submit full would just park it, which is not a fault worth
+        // injecting.
+        let forced_full = !block
+            && self
+                .shared
+                .faults
+                .as_ref()
+                .is_some_and(|f| f.take_queue_full());
         let mut q = self.shared.queue.lock().unwrap();
         loop {
-            if q.shutdown {
+            if q.pending.shutdown {
                 return Err(ServeError::ShuttingDown);
             }
             // Admit when within the bound — or into an empty queue, so a
             // single job larger than the whole bound cannot wedge.
-            if q.queued_elems == 0 || q.queued_elems + data.len() <= self.queue_elements {
+            let fits = q.queued_elems == 0 || q.queued_elems + data.len() <= self.queue_elements;
+            if fits && !forced_full {
                 break;
             }
             if !block {
                 // Same pressure rule as parking (below), minus the
                 // wait: flag the saturation and wake a worker so a
                 // retrying caller finds space after the forced drain.
-                q.rejected_full = true;
+                q.pending.rejected_full = true;
                 drop(q);
                 self.shared.job_ready.notify_one();
                 return Err(ServeError::QueueFull);
             }
             // Park — and tell the workers: a saturated queue overrides
-            // every flush policy (see `worker_loop`), otherwise a
+            // every flush policy (see `decide`), otherwise a
             // long-deadline function could block all admissions for its
             // whole deadline.
-            q.space_waiters += 1;
+            q.pending.space_waiters += 1;
             self.shared.job_ready.notify_one();
             q = self.shared.space.wait(q).unwrap();
-            q.space_waiters -= 1;
+            q.pending.space_waiters -= 1;
         }
-        let pending = q.pending.entry(func).or_insert_with(|| FuncPending {
+        // One clock read serves as the Enqueue stamp and, for a
+        // function's first pending job, the deadline anchor; unobserved,
+        // only a new anchor reads the clock.
+        let enqueued_ns = self.shared.obs.as_ref().map(|o| o.spans.now_ns());
+        let pending = q.pending.funcs.entry(func).or_insert_with(|| FuncPending {
             elems: 0,
-            oldest: Instant::now(),
+            oldest: enqueued_ns.unwrap_or_else(|| self.shared.clock.now_ns()),
         });
         pending.elems += data.len();
         q.queued_elems += data.len();
@@ -722,28 +703,27 @@ impl ServeHandle {
         // jobs every run. A propagated trace id bypasses local sampling
         // (the origin already decided) and tags the span for the
         // cross-process assembler.
-        let (enqueued_ns, span) = match &self.shared.obs {
-            Some(obs) => {
+        let span = match (&self.shared.obs, enqueued_ns) {
+            (Some(obs), Some(now)) => {
                 obs.submits.inc();
                 let span = match trace {
                     Some(id) => Some(obs.spans.adopt(func.0, id)),
                     None => obs.spans.try_start(func.0),
                 };
-                let now = obs.now_ns();
                 if let Some(cell) = &span {
                     cell.record(Stage::Submit, submit_ns.unwrap_or(now));
                     cell.record(Stage::Enqueue, now);
                 }
                 obs.queue_jobs.set((q.jobs.len() + 1) as f64);
                 obs.queue_elems.set(q.queued_elems as f64);
-                (now, span)
+                span
             }
-            None => (0, None),
+            _ => None,
         };
         q.jobs.push(Job {
             func,
             data,
-            enqueued_ns,
+            enqueued_ns: enqueued_ns.unwrap_or_default(),
             span: span.clone(),
         });
         drop(q);
@@ -752,139 +732,59 @@ impl ServeHandle {
     }
 }
 
-/// A due function, as a worker's policy check found it.
-struct Due {
-    func: FunctionId,
-    /// Arrival of its oldest pending job — the oldest goes first.
-    oldest: Instant,
-    fired_size: bool,
-    fired_deadline: bool,
-}
-
 /// An evaluation worker, which also makes the flush decision: under the
-/// queue lock it checks every pending function's policy and drains the
-/// due function with the oldest pending job — on shutdown or queue
-/// pressure, every pending function. If jobs are left queued it wakes
-/// one sibling (to flush them if due, or to watch their deadline), then
-/// drops the lock and plans, packs and evaluates the drained jobs on
-/// its own thread. With nothing due it sleeps until the earliest pending
-/// deadline. Returns once shutdown is set and the queue is empty.
+/// queue lock it asks [`decide`] what is due, drains those jobs, wakes
+/// one sibling if jobs are left queued (to flush them if due, or to
+/// watch their deadline), then drops the lock and plans, packs and
+/// evaluates the drained jobs on its own thread. With nothing due it
+/// sleeps until the decision's wake-up time. Returns once shutdown is
+/// set and the queue is empty.
 ///
 /// Lock order: the queue mutex may be held while taking the registry's
 /// read lock (policy lookup); no code path acquires them in the other
 /// order while holding either.
 fn worker_loop(shared: &Shared, registry: &FunctionRegistry, default_policy: FlushPolicy) {
+    let policy_of = |func| registry.policy(func).unwrap_or(default_policy);
     let mut q = shared.queue.lock().unwrap();
     loop {
-        if q.shutdown && q.jobs.is_empty() {
+        if q.pending.shutdown && q.jobs.is_empty() {
             return;
         }
-        // Evaluate every pending function's own policy. Two conditions
-        // override the per-function triggers and make *everything* due:
-        // shutdown (the final drain is one flush) and admission
-        // pressure (a submitter parked on the element bound — policies
-        // shape latency, they must never starve admissions).
-        let now = Instant::now();
-        // `rejected_full` is a consumed one-shot: a bounced try_submit
-        // forces exactly one full drain (more rejections re-arm it).
-        // Taken unconditionally — behind a short-circuiting `||` a drain
-        // triggered by a parked waiter would leave the stale flag armed
-        // and force a spurious policy-overriding flush later.
-        let rejected_full = std::mem::take(&mut q.rejected_full);
-        let force_all = q.shutdown || q.space_waiters > 0 || rejected_full;
-        let mut due: Vec<Due> = Vec::new();
-        let mut next_deadline: Option<Instant> = None;
-        for (&func, pending) in &q.pending {
-            let policy = registry.policy(func).unwrap_or(default_policy);
-            // `checked_add`: a huge deadline (`Duration::MAX` = "flush
-            // on size or shutdown only") must saturate to "never", not
-            // overflow `Instant` and panic the worker.
-            let deadline = pending.oldest.checked_add(policy.deadline);
-            let fired_size = pending.elems >= policy.max_elems;
-            // The checking worker is free, so an expired deadline is due.
-            let fired_deadline = deadline.is_some_and(|d| now >= d);
-            if force_all || fired_size || fired_deadline {
-                due.push(Due {
-                    func,
-                    oldest: pending.oldest,
-                    fired_size,
-                    fired_deadline,
-                });
-            } else if let Some(d) = deadline {
-                next_deadline = Some(next_deadline.map_or(d, |nd: Instant| nd.min(d)));
-            }
-        }
-        if !due.is_empty() {
-            if !force_all {
-                due.sort_unstable_by_key(|d| d.oldest);
-                due.truncate(1);
-            }
-            // Drain only the chosen functions, preserving submission
-            // order for the FIFO-per-function packing guarantee.
-            let drained = if due.len() == q.pending.len() {
-                std::mem::take(&mut q.jobs)
-            } else {
-                let (drained, kept): (Vec<Job>, Vec<Job>) = std::mem::take(&mut q.jobs)
-                    .into_iter()
-                    .partition(|job| due.iter().any(|d| d.func == job.func));
-                q.jobs = kept;
-                drained
-            };
-            for d in &due {
-                if let Some(p) = q.pending.remove(&d.func) {
-                    q.queued_elems -= p.elems;
+        let now = shared.clock.now_ns();
+        q = match decide(&mut q.pending, now, policy_of) {
+            Decision::Drain { funcs, reasons } => {
+                let drained = if funcs.len() == q.pending.funcs.len() {
+                    std::mem::take(&mut q.jobs)
+                } else {
+                    take_jobs(&mut q.jobs, &funcs, |job| job.func)
+                };
+                for func in &funcs {
+                    if let Some(p) = q.pending.funcs.remove(func) {
+                        q.queued_elems -= p.elems;
+                    }
                 }
                 if let Some(obs) = &shared.obs {
-                    // A function's own trigger takes precedence over the
-                    // queue-wide overrides in the reason accounting: a
-                    // size-due function drained during shutdown still
-                    // flushed "because it was full".
-                    let reason = if d.fired_size {
-                        &obs.flush_size
-                    } else if d.fired_deadline {
-                        &obs.flush_deadline
-                    } else if q.shutdown {
-                        &obs.flush_shutdown
-                    } else {
-                        &obs.flush_pressure
-                    };
-                    reason.inc();
+                    for reason in reasons {
+                        obs.flushes[reason as usize].inc();
+                    }
+                    obs.queue_jobs.set(q.jobs.len() as f64);
+                    obs.queue_elems.set(q.queued_elems as f64);
                 }
+                let jobs_left = !q.jobs.is_empty();
+                drop(q);
+                shared.space.notify_all();
+                if jobs_left {
+                    shared.job_ready.notify_one();
+                }
+                run_flush(drained, registry, shared);
+                shared.queue.lock().unwrap()
             }
-            if let Some(obs) = &shared.obs {
-                obs.queue_jobs.set(q.jobs.len() as f64);
-                obs.queue_elems.set(q.queued_elems as f64);
+            // Spurious wakeups and early submits just decide again.
+            Decision::SleepUntil(t) => {
+                let wait = Duration::from_nanos(t.saturating_sub(now));
+                shared.job_ready.wait_timeout(q, wait).unwrap().0
             }
-            let jobs_left = !q.jobs.is_empty();
-            drop(q);
-            shared.space.notify_all();
-            if jobs_left {
-                shared.job_ready.notify_one();
-            }
-            run_flush(drained, registry, shared);
-            q = shared.queue.lock().unwrap();
-            continue;
-        }
-        q = match next_deadline {
-            // Sleep exactly until the earliest pending deadline (spurious
-            // wakeups and early submits just re-evaluate the conditions).
-            Some(deadline) => {
-                let remaining = deadline.saturating_duration_since(now);
-                shared.job_ready.wait_timeout(q, remaining).unwrap().0
-            }
-            // Jobs pending but no deadline ahead (every pending function
-            // has a never-expiring policy): re-check on a coarse tick
-            // rather than parking forever, so a concurrent `set_policy`
-            // tightening a deadline takes effect within a tick instead of
-            // waiting for the next submission.
-            None if !q.jobs.is_empty() => {
-                shared
-                    .job_ready
-                    .wait_timeout(q, Duration::from_millis(10))
-                    .unwrap()
-                    .0
-            }
-            None => shared.job_ready.wait(q).unwrap(),
+            Decision::Park => shared.job_ready.wait(q).unwrap(),
         };
     }
 }
@@ -907,7 +807,11 @@ fn run_flush(drained: Vec<Job>, registry: &FunctionRegistry, shared: &Shared) {
     }
     // One clock read covers the whole plan: every job in this drain was
     // planned at the same instant, and queue wait is measured to here.
-    let plan_ns = shared.obs.as_ref().map(|o| o.now_ns()).unwrap_or_default();
+    let plan_ns = shared
+        .obs
+        .as_ref()
+        .map(|o| o.spans.now_ns())
+        .unwrap_or_default();
     run_units(jobs64, plan_ns, registry, shared);
     run_units(jobs32, plan_ns, registry, shared);
 }
@@ -961,89 +865,87 @@ fn run_units<T: Precision>(
             u.state.flush_units.inc();
             u.state.flush_elems.record(group.total as u64);
         }
-        let unit = Unit {
-            program,
-            stats,
-            histogram,
-            xs,
-            jobs: packed,
-            obs: unit_obs,
-        };
-        // Injected latency (testkit): widen the pending window so
-        // out-of-order completion is observable deterministically.
-        if let Some(delay) = faults.and_then(Faults::flush_delay) {
-            std::thread::sleep(delay);
+        // The flush gate (testkit): a held gate parks the packed unit
+        // here, so a test can build "worker busy" instead of racing it.
+        if let Some(faults) = faults {
+            faults.pass_gate();
         }
         // A panicking backend fails only this unit: unwinding drops its
         // result senders, so its tickets observe `Disconnected`, and the
         // worker goes on serving.
-        let _ = catch_unwind(AssertUnwindSafe(|| unit.run(faults)));
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            eval_unit(
+                &*program,
+                &stats,
+                &histogram,
+                &xs,
+                packed,
+                unit_obs.as_ref(),
+                faults,
+            )
+        }));
     }
 }
 
-/// Post-eval bookkeeping of one instrumented flush unit: evaluation
-/// latency into the global and per-function histograms, modelled cost
-/// into the backend counters (energy rounded to whole nanojoules).
-fn record_flush_obs(u: &UnitObs, eval_start_ns: u64, stats: &flexsfu_backend::FlushStats) {
-    let dt = u.state.now_ns().saturating_sub(eval_start_ns);
-    u.state.eval_ns_all.record(dt);
-    u.func.eval_ns.record(dt);
-    u.state.backend_elems.add(stats.elems as u64);
-    if let Some(hw) = stats.hw {
-        u.state.cycles.add(hw.cycles);
-        u.state.energy_nj.add(hw.energy_nj.round() as u64);
+/// Evaluates one function's packed share of a flush straight into
+/// per-job result buffers, through the backend program snapshot taken
+/// at packing (in the flush's precision — a unit never mixes
+/// precisions, just as it never mixes functions), records the flush
+/// cost, and completes the jobs' oneshots.
+fn eval_unit<T: Element>(
+    program: &dyn BackendProgram<T>,
+    stats: &StatsAccumulator,
+    histogram: &HistogramAccum,
+    xs: &[T],
+    jobs: Vec<PackedJob<T>>,
+    obs: Option<&UnitObs>,
+    faults: Option<&Faults>,
+) {
+    // Record inputs before completing any ticket: once every ticket of a
+    // quiesced batch has resolved, the histogram already reflects all of
+    // its elements — the ordering drift-window determinism relies on.
+    histogram.record(xs);
+    let eval_start = obs.map(|u| {
+        let t = u.state.spans.now_ns();
+        for (_, _, cell) in &jobs {
+            if let Some(cell) = cell {
+                cell.record(Stage::BackendEval, t);
+            }
+        }
+        t
+    });
+    let mut outs: Vec<Vec<T>> = jobs.iter().map(|(n, ..)| vec![T::default(); *n]).collect();
+    let flush_stats = {
+        let mut views: Vec<&mut [T]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
+        program.eval_scatter_into(xs, &mut views)
+    };
+    stats.record(&flush_stats);
+    // Evaluation latency into the global and per-function histograms,
+    // modelled cost into the backend counters (energy rounded to whole
+    // nanojoules).
+    if let (Some(u), Some(t0)) = (obs, eval_start) {
+        let dt = u.state.spans.now_ns().saturating_sub(t0);
+        u.state.eval_ns_all.record(dt);
+        u.func.eval_ns.record(dt);
+        u.state.backend_elems.add(flush_stats.elems as u64);
+        if let Some(hw) = flush_stats.hw {
+            u.state.cycles.add(hw.cycles);
+            u.state.energy_nj.add(hw.energy_nj.round() as u64);
+        }
     }
-}
-
-impl<T: Element> Unit<T> {
-    /// Evaluates the unit straight into per-job result buffers, records
-    /// the flush cost, and completes the jobs' oneshots.
-    fn run(self, faults: Option<&Faults>) {
-        let Unit {
-            program,
-            stats,
-            histogram,
-            xs,
-            jobs,
-            obs,
-        } = self;
-        // Record inputs before completing any ticket: once every ticket
-        // of a quiesced batch has resolved, the histogram already
-        // reflects all of its elements — the ordering drift-window
-        // determinism relies on.
-        histogram.record(&xs);
-        let eval_start = obs.as_ref().map(|u| {
-            let t = u.state.now_ns();
-            for (_, _, cell) in &jobs {
-                if let Some(cell) = cell {
-                    cell.record(Stage::BackendEval, t);
-                }
-            }
-            t
-        });
-        let mut outs: Vec<Vec<T>> = jobs.iter().map(|(n, ..)| vec![T::default(); *n]).collect();
-        let flush_stats = {
-            let mut views: Vec<&mut [T]> = outs.iter_mut().map(|o| o.as_mut_slice()).collect();
-            program.eval_scatter_into(&xs, &mut views)
-        };
-        stats.record(&flush_stats);
-        if let (Some(u), Some(t0)) = (&obs, eval_start) {
-            record_flush_obs(u, t0, &flush_stats);
+    for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
+        // Injected reply loss (testkit): drop the channel so the ticket
+        // observes `Disconnected`.
+        if faults.is_some_and(Faults::take_drop_reply) {
+            continue;
         }
-        for ((_, tx, cell), out) in jobs.into_iter().zip(outs) {
-            // Injected reply loss (testkit): drop the channel so the
-            // ticket observes `Disconnected`.
-            if faults.is_some_and(Faults::take_drop_reply) {
-                continue;
-            }
-            // Stamp before completing the ticket: a replay driver that
-            // advances a manual clock once all tickets resolved must
-            // never race a late stamp.
-            if let (Some(u), Some(cell)) = (&obs, &cell) {
-                cell.record(Stage::ScatterBack, u.state.now_ns());
-            }
-            // A dropped ticket is fine — the caller stopped caring.
-            tx.send(out);
+        // Stamp before completing the ticket: a replay driver that
+        // advances a manual clock once all tickets resolved must never
+        // race a late stamp.
+        if let (Some(u), Some(cell)) = (obs, &cell) {
+            cell.record(Stage::ScatterBack, u.state.spans.now_ns());
         }
+        // A dropped ticket is fine — the caller stopped caring.
+        tx.send(out);
     }
 }

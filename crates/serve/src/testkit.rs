@@ -8,19 +8,19 @@
 //! suites and for downstream crates' serving tests, instead of drifting
 //! copies.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::task::{RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
 /// Deterministic fault injection for serving tests — installed with
 /// [`crate::PwlServer::start_with_faults`], armed from the test body.
 ///
-/// The wire-protocol suites need to *deterministically* drive the
-/// server's failure paths (a bounced `try_submit`, a worker that never
-/// replies, a flush that lands late) instead of racing real traffic and
-/// hoping. Each knob is a counter or setting the server consumes at a
-/// specific point:
+/// Serving and wire-protocol suites need to *deterministically* drive
+/// the server's failure paths and busy states (a bounced `try_submit`, a
+/// worker that never replies, a worker still evaluating while more jobs
+/// arrive) instead of racing real traffic and hoping. Each knob is
+/// consumed by the server at a specific point:
 ///
 /// * **Forced `QueueFull`** — the next *n* non-blocking admissions
 ///   ([`crate::ServeHandle::try_submit`] / `try_submit_f32`) bounce with
@@ -32,9 +32,14 @@ use std::time::Duration;
 ///   channel instead of sending, so the ticket observes
 ///   [`crate::ServeError::Disconnected`]: the "backend panicked
 ///   mid-unit" path, without actually panicking a backend.
-/// * **Flush delay** — every flush unit's evaluation sleeps this long
-///   first, widening the window in which responses are pending (the
-///   deterministic way to pin out-of-order wire multiplexing).
+/// * **Flush gate** — while the gate is held ([`Self::hold_flushes`]),
+///   every packed flush unit parks at it just before it evaluates. The
+///   test waits until the units it expects are parked
+///   ([`Self::wait_parked`]), does what it wants to happen while the
+///   workers are busy, then lets units through one by one
+///   ([`Self::pass_flushes`]) or all at once ([`Self::release_flushes`]).
+///   A server must not be shut down while a held gate still parks a
+///   worker: the join would wait on it.
 ///
 /// All knobs are live — tests arm them mid-traffic from another thread.
 /// A server started without faults pays one `Option` check per site.
@@ -42,7 +47,16 @@ use std::time::Duration;
 pub struct Faults {
     queue_full: AtomicU32,
     drop_replies: AtomicU32,
-    delay_flush_micros: AtomicU64,
+    gate: Mutex<Gate>,
+    gate_moved: Condvar,
+}
+
+/// The flush gate: units are numbered as they reach it, and while it is
+/// held (`passed` is set) unit `k` may go once `k < passed`.
+#[derive(Debug, Default)]
+struct Gate {
+    arrived: u64,
+    passed: Option<u64>,
 }
 
 impl Faults {
@@ -64,11 +78,35 @@ impl Faults {
         self.drop_replies.store(n, Ordering::SeqCst);
     }
 
-    /// Delays every flush unit's evaluation by `d` (`Duration::ZERO`
-    /// disarms). Saturates at `u64::MAX` microseconds.
-    pub fn delay_flushes(&self, d: Duration) {
-        let micros = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        self.delay_flush_micros.store(micros, Ordering::SeqCst);
+    /// Holds the flush gate: from now on every flush unit parks before
+    /// it evaluates.
+    pub fn hold_flushes(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        gate.passed = Some(gate.arrived);
+    }
+
+    /// Blocks until `n` units are parked at the held gate (forever if
+    /// the gate is open, or no `n` units ever arrive).
+    pub fn wait_parked(&self, n: u64) {
+        let gate = self.gate.lock().unwrap();
+        let few = |g: &mut Gate| g.passed.map_or(0, |p| g.arrived.saturating_sub(p)) < n;
+        drop(self.gate_moved.wait_while(gate, few).unwrap());
+    }
+
+    /// Lets the next `n` units through the held gate, oldest first:
+    /// parked ones at once, the rest as they arrive.
+    pub fn pass_flushes(&self, n: u64) {
+        if let Some(passed) = &mut self.gate.lock().unwrap().passed {
+            *passed += n;
+        }
+        self.gate_moved.notify_all();
+    }
+
+    /// Opens the gate: every parked unit evaluates, and later units no
+    /// longer park.
+    pub fn release_flushes(&self) {
+        self.gate.lock().unwrap().passed = None;
+        self.gate_moved.notify_all();
     }
 
     /// Consumes one forced-`QueueFull` token, if armed.
@@ -81,12 +119,15 @@ impl Faults {
         take_token(&self.drop_replies)
     }
 
-    /// The currently armed flush delay, if any.
-    pub(crate) fn flush_delay(&self) -> Option<Duration> {
-        match self.delay_flush_micros.load(Ordering::SeqCst) {
-            0 => None,
-            micros => Some(Duration::from_micros(micros)),
-        }
+    /// A unit's visit to the gate: returns at once while it is open,
+    /// else parks until the unit is passed or the gate released.
+    pub(crate) fn pass_gate(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        let ticket = gate.arrived;
+        gate.arrived += 1;
+        self.gate_moved.notify_all();
+        let parked = |g: &mut Gate| g.passed.is_some_and(|p| ticket >= p);
+        drop(self.gate_moved.wait_while(gate, parked).unwrap());
     }
 }
 
@@ -169,7 +210,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_tokens_fire_exactly_n_times_and_delay_arms_and_disarms() {
+    fn fault_tokens_fire_exactly_n_times_and_gate_holds_passes_and_releases() {
         let faults = Faults::new();
         assert!(!faults.take_queue_full(), "disarmed injector never fires");
         faults.force_queue_full(2);
@@ -181,11 +222,27 @@ mod tests {
         assert!(faults.take_drop_reply());
         assert!(!faults.take_drop_reply());
 
-        assert_eq!(faults.flush_delay(), None);
-        faults.delay_flushes(Duration::from_millis(3));
-        assert_eq!(faults.flush_delay(), Some(Duration::from_millis(3)));
-        faults.delay_flushes(Duration::ZERO);
-        assert_eq!(faults.flush_delay(), None);
+        faults.pass_gate(); // an open gate never parks
+        faults.hold_flushes();
+        let (done_tx, done_rx) = mpsc::channel();
+        let units: Vec<_> = (0..2)
+            .map(|k| {
+                let (faults, done) = (Arc::clone(&faults), done_tx.clone());
+                std::thread::spawn(move || {
+                    faults.pass_gate();
+                    done.send(k).unwrap();
+                })
+            })
+            .collect();
+        faults.wait_parked(2);
+        faults.pass_flushes(1);
+        let first = done_rx.recv().unwrap();
+        assert_eq!(done_rx.try_recv(), Err(mpsc::TryRecvError::Empty));
+        faults.wait_parked(1);
+        faults.release_flushes();
+        assert_eq!(done_rx.recv().unwrap(), 1 - first);
+        units.into_iter().for_each(|u| u.join().unwrap());
+        faults.pass_gate(); // released: open again
     }
 
     #[test]

@@ -809,72 +809,43 @@ fn try_submit_rejection_forces_a_pressure_flush() {
     });
 }
 
-/// Runs the work-conserving scenario once: one eval worker, the default
-/// zero deadline, every unit held `delay` before it evaluates. Job A
-/// must drain alone at once; `N` jobs submitted while A's unit is busy
-/// must wait for the worker and go out together. `submit(handle, id,
-/// seed)` enqueues one job and returns its ticket and expected result;
-/// `check` waits for a ticket and bit-compares. Returns the function's
-/// flush count, or `None` when A finished before the others were all
-/// submitted (the host stalled longer than `delay`, so the run proved
-/// nothing).
-fn flushes_behind_a_busy_worker<T: std::future::Future + Unpin, W>(
-    delay: Duration,
-    submit: &impl Fn(&ServeHandle, FunctionId, u64) -> (T, W),
-    check: &impl Fn(T, W, &str),
-) -> Option<u64> {
+/// The coalescing contract for both precisions: one eval worker, the
+/// default zero deadline, and the flush gate held. Job A drains alone at
+/// once and parks at the gate; `N` jobs submitted while its unit is
+/// parked must wait for the worker and go out together once the gate
+/// opens. `submit(handle, id, seed)` enqueues one job and returns its
+/// ticket and expected result; `check` waits for a ticket and
+/// bit-compares.
+fn assert_busy_worker_coalesces<T, W>(
+    submit: impl Fn(&ServeHandle, FunctionId, u64) -> (T, W),
+    check: impl Fn(T, W, &str),
+) {
     const N: u64 = 12;
     let functions = test_functions();
     let registry = Arc::new(FunctionRegistry::new());
     let id = registry.register("deep", &functions[1]);
     let faults = Faults::new();
-    faults.delay_flushes(delay);
+    faults.hold_flushes();
     let server = PwlServer::start_with_faults(
         Arc::clone(&registry),
         ServeConfig {
             eval_workers: 1,
             ..ServeConfig::default()
         },
-        faults,
+        Arc::clone(&faults),
     );
     let handle = server.handle();
-    let (mut a, a_want) = submit(&handle, id, 0);
-    // No deadline to wait out: the idle worker's flush takes A at once.
-    while handle.queue_depth().jobs > 0 {
-        thread::yield_now();
-    }
-    // Spaced out, so a batcher that flushed each arrival at once would
-    // send them as separate units; the gaps sum to well under `delay`.
-    let rest: Vec<(T, W)> = (1..=N)
-        .map(|k| {
-            thread::sleep(Duration::from_micros(500));
-            submit(&handle, id, k)
-        })
-        .collect();
-    let waker = flexsfu_serve::testkit::noop_waker();
-    let a_busy = std::pin::Pin::new(&mut a)
-        .poll(&mut std::task::Context::from_waker(&waker))
-        .is_pending();
-    if a_busy {
-        check(a, a_want, "job A");
-        for (k, (ticket, want)) in rest.into_iter().enumerate() {
-            check(ticket, want, &format!("coalesced job {k}"));
-        }
+    let (a, a_want) = submit(&handle, id, 0);
+    // No deadline to wait out: the idle worker takes A at once.
+    faults.wait_parked(1);
+    let rest: Vec<(T, W)> = (1..=N).map(|k| submit(&handle, id, k)).collect();
+    faults.release_flushes();
+    check(a, a_want, "job A");
+    for (k, (ticket, want)) in rest.into_iter().enumerate() {
+        check(ticket, want, &format!("coalesced job {k}"));
     }
     server.shutdown();
-    a_busy.then(|| registry.backend_stats(id).unwrap().flushes)
-}
-
-/// The coalescing contract for both precisions, retried with a longer
-/// flush delay if a host stall outlasted the first one.
-fn assert_busy_worker_coalesces<T: std::future::Future + Unpin, W>(
-    submit: impl Fn(&ServeHandle, FunctionId, u64) -> (T, W),
-    check: impl Fn(T, W, &str),
-) {
-    let flushes = [30, 120, 480]
-        .into_iter()
-        .find_map(|ms| flushes_behind_a_busy_worker(Duration::from_millis(ms), &submit, &check))
-        .expect("job A finished before the next jobs were submitted, even at a 480 ms delay");
+    let flushes = registry.backend_stats(id).unwrap().flushes;
     assert_eq!(
         flushes, 2,
         "A alone, then everything that arrived while its unit was busy"
@@ -979,9 +950,11 @@ fn unknown_function_and_future_interface() {
 /// `queue_elements` bounds the accepted work that has not started
 /// evaluating. A bounced `try_submit` makes the next *free* worker drain
 /// the queue; it must not move the queue somewhere unbounded while the
-/// only worker is busy. One worker held 20 ms per unit, 100-element
-/// jobs against a 200-element bound: the accepted-but-unfinished
-/// elements never exceed `(eval_workers + 1) × queue_elements`.
+/// only worker is busy. One worker whose every unit parks at the held
+/// flush gate until the test passes it, one unit per round, and
+/// 100-element jobs against a 200-element bound: the
+/// accepted-but-unfinished elements never exceed
+/// `(eval_workers + 1) × queue_elements`.
 #[test]
 fn queue_bound_holds_while_workers_are_busy() {
     with_watchdog(60, "queue_bound_holds_while_workers_are_busy", || {
@@ -992,12 +965,13 @@ fn queue_bound_holds_while_workers_are_busy() {
 
         const QUEUE: usize = 200;
         const LEN: usize = 100;
+        const ROUNDS: usize = 20;
         let deep = &test_functions()[1];
         let engine = CompiledPwl::from_pwl(deep);
         let registry = Arc::new(FunctionRegistry::new());
         let id = registry.register("deep", deep);
         let faults = Faults::new();
-        faults.delay_flushes(Duration::from_millis(20));
+        faults.hold_flushes();
         let server = PwlServer::start_with_faults(
             Arc::clone(&registry),
             ServeConfig {
@@ -1005,7 +979,7 @@ fn queue_bound_holds_while_workers_are_busy() {
                 eval_workers: 1,
                 ..ServeConfig::default()
             },
-            faults,
+            Arc::clone(&faults),
         );
         let handle = server.handle();
         let waker = noop_waker();
@@ -1013,33 +987,38 @@ fn queue_bound_holds_while_workers_are_busy() {
         let mut next = rng(0xB0D);
         let mut open: Vec<(JobTicket, Vec<f64>)> = Vec::new();
         let (mut outstanding, mut peak, mut saw_full) = (0usize, 0usize, false);
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(200) {
-            let data = request_tensor(&mut next, deep, LEN);
-            let want = engine.eval_batch(&data);
-            match handle.try_submit(id, data) {
-                Ok(ticket) => {
-                    open.push((ticket, want));
-                    outstanding += LEN;
+        for _ in 0..ROUNDS {
+            // Submit until the queue bounces. A bounced queue is not
+            // empty, so the worker, once free, drains it and parks.
+            let mut full = false;
+            while !full {
+                let data = request_tensor(&mut next, deep, LEN);
+                let want = engine.eval_batch(&data);
+                match handle.try_submit(id, data) {
+                    Ok(ticket) => {
+                        open.push((ticket, want));
+                        outstanding += LEN;
+                    }
+                    Err(ServeError::QueueFull) => (full, saw_full) = (true, true),
+                    Err(e) => panic!("unexpected submit error: {e}"),
                 }
-                Err(ServeError::QueueFull) => {
-                    saw_full = true;
-                    thread::sleep(Duration::from_micros(100));
-                }
-                Err(e) => panic!("unexpected submit error: {e}"),
+                // Poll before measuring: a ticket still open now was open
+                // at the submit above, so `outstanding` never overcounts.
+                open.retain_mut(|(ticket, want)| match Pin::new(ticket).poll(&mut cx) {
+                    Poll::Ready(got) => {
+                        assert_bits_eq(&got.unwrap(), want, "completed during the run");
+                        outstanding -= LEN;
+                        false
+                    }
+                    Poll::Pending => true,
+                });
+                peak = peak.max(outstanding);
             }
-            // Poll before measuring: a ticket still open now was open
-            // at the submit above, so `outstanding` never overcounts.
-            open.retain_mut(|(ticket, want)| match Pin::new(ticket).poll(&mut cx) {
-                Poll::Ready(got) => {
-                    assert_bits_eq(&got.unwrap(), want, "completed during the run");
-                    outstanding -= LEN;
-                    false
-                }
-                Poll::Pending => true,
-            });
-            peak = peak.max(outstanding);
+            // The worker is busy with a parked unit; let it evaluate.
+            faults.wait_parked(1);
+            faults.pass_flushes(1);
         }
+        faults.release_flushes();
         server.shutdown();
         for (i, (ticket, want)) in open.into_iter().enumerate() {
             assert_bits_eq(&ticket.wait().unwrap(), &want, &format!("drained job {i}"));

@@ -9,54 +9,6 @@
 /// start.
 pub type VirtualNs = u64;
 
-/// Monotone virtual clock.
-///
-/// # Examples
-///
-/// ```
-/// use flexsfu_traffic::clock::VirtualClock;
-///
-/// let mut clock = VirtualClock::new();
-/// clock.advance_to(1_000);
-/// clock.advance_by(500);
-/// assert_eq!(clock.now(), 1_500);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: VirtualNs,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> VirtualNs {
-        self.now
-    }
-
-    /// Jumps forward to `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is in the past — virtual time never runs backwards.
-    pub fn advance_to(&mut self, t: VirtualNs) {
-        assert!(
-            t >= self.now,
-            "virtual clock moved backwards: {} -> {t}",
-            self.now
-        );
-        self.now = t;
-    }
-
-    /// Advances by `dt` nanoseconds (saturating at the end of time).
-    pub fn advance_by(&mut self, dt: VirtualNs) {
-        self.now = self.now.saturating_add(dt);
-    }
-}
-
 /// Converts a duration in (fractional) seconds to virtual nanoseconds,
 /// rounding up and clamping to at least 1 ns — two events never collapse
 /// onto the same instant just because a sampled gap rounded to zero.
@@ -73,22 +25,6 @@ pub fn secs_to_ns(dt_s: f64) -> VirtualNs {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut c = VirtualClock::new();
-        c.advance_to(10);
-        c.advance_by(u64::MAX); // saturates, no overflow
-        assert_eq!(c.now(), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "moved backwards")]
-    fn clock_rejects_time_travel() {
-        let mut c = VirtualClock::new();
-        c.advance_to(10);
-        c.advance_to(9);
-    }
 
     #[test]
     fn conversion_rounds_up_and_floors_at_one() {

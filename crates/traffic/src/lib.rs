@@ -10,8 +10,8 @@
 //!
 //! A [`WorkloadSpec`] declares a workload: a seeded
 //! [arrival process](arrival::ArrivalProcess) (Poisson steady state,
-//! heavy-tailed on/off bursts, or a diurnal ramp) on a
-//! [virtual clock](clock::VirtualClock), a traffic mix of functions
+//! heavy-tailed on/off bursts, or a diurnal ramp) on a virtual timeline
+//! ([`u64` nanoseconds](clock::VirtualNs)), a traffic mix of functions
 //! each with its own [input sampler](sampler::InputSampler) — shifted
 //! softmax logits, log-normal rsqrt variances, Gaussian GELU
 //! pre-activations, or an empirical histogram inverted by CDF — and
@@ -72,7 +72,6 @@ pub mod sim;
 pub mod trace;
 
 pub use arrival::ArrivalProcess;
-pub use clock::VirtualClock;
 pub use drift::{population_stability, DriftDetector, DriftThreshold, DriftVerdict};
 pub use retune::{
     AdaptiveRetuner, RetuneError, RetuneEvent, RetunePolicy, RetunerHandle, M_DRIFT_SCORE,

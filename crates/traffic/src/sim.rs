@@ -17,7 +17,7 @@
 //! sequence replay exactly.
 
 use crate::arrival::{ArrivalGen, ArrivalProcess};
-use crate::clock::{VirtualClock, VirtualNs};
+use crate::clock::VirtualNs;
 use crate::sampler::InputSampler;
 use crate::trace::{Trace, TraceEvent, MAX_EVENT_ELEMS};
 use flexsfu_serve::{FunctionId, ServeError, ServeHandle};
@@ -118,7 +118,7 @@ pub fn simulate(spec: &WorkloadSpec, horizon_ns: VirtualNs, max_events: usize) -
     spec.validate();
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut arrivals = ArrivalGen::new(spec.arrivals.clone());
-    let mut clock = VirtualClock::new();
+    let mut now: VirtualNs = 0;
 
     // Active sampler per function; shifts are applied in time order.
     let mut active: Vec<InputSampler> = spec.functions.iter().map(|f| f.sampler.clone()).collect();
@@ -129,11 +129,12 @@ pub fn simulate(spec: &WorkloadSpec, horizon_ns: VirtualNs, max_events: usize) -
     let total_weight: f64 = spec.functions.iter().map(|f| f.weight).sum();
     let mut events = Vec::new();
     while events.len() < max_events {
-        let t = arrivals.next_after(clock.now(), &mut rng);
+        let t = arrivals.next_after(now, &mut rng);
         if t > horizon_ns {
             break;
         }
-        clock.advance_to(t);
+        assert!(t >= now, "virtual clock moved backwards: {now} -> {t}");
+        now = t;
         while next_shift < shifts.len() && shifts[next_shift].at_ns <= t {
             let s = shifts[next_shift];
             let idx = spec

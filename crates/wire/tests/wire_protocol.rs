@@ -312,12 +312,13 @@ fn drain_refuses_new_submits_and_answers_accepted_jobs() {
             let stack = stack(&quick_config(), Some(Arc::clone(&faults)));
             let client = WireClient::connect(stack.wire.local_addr()).unwrap();
 
-            // Hold results back long enough that the drain races real
-            // in-flight work.
-            faults.delay_flushes(Duration::from_millis(50));
+            // Hold the worker at the flush gate, so the drain meets real
+            // in-flight work: one unit parked, the rest still queued.
+            faults.hold_flushes();
             let inflight: Vec<_> = (0..8)
                 .map(|_| client.submit_f64(0, vec![0.5; 16]).unwrap())
                 .collect();
+            faults.wait_parked(1);
 
             // Drain over the wire (the protocol path, not the local call).
             client.drain().unwrap();
@@ -329,6 +330,7 @@ fn drain_refuses_new_submits_and_answers_accepted_jobs() {
             assert_eq!(refused.wait(), Err(WireError::Draining));
 
             // Every accepted job is still answered, correctly.
+            faults.release_flushes();
             for t in inflight {
                 assert!(t.was_acked(), "accepted jobs were acked before drain");
                 assert_eq!(t.wait().unwrap().len(), 16);
