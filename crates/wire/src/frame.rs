@@ -1018,4 +1018,110 @@ mod tests {
             })
         );
     }
+
+    /// Lowercase hex of `bytes`, for golden comparisons that print
+    /// readably when they fail.
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of every frame kind, both precisions, with and
+    /// without the trace tail, and the float edge cases (a NaN with a
+    /// payload, −0.0, ±∞) that a byte-level codec change would silently
+    /// reorder or canonicalize. Decoding each golden and re-encoding it
+    /// must reproduce it byte for byte.
+    #[test]
+    fn golden_bytes_of_every_frame_kind() {
+        let nan64 = f64::from_bits(0x7ff8_0000_0000_0001);
+        let nan32 = f32::from_bits(0x7fc0_0001);
+        let goldens: Vec<(Frame, &str)> = vec![
+            (
+                Frame::SubmitF64 {
+                    req: 0x0102_0304_0506_0708,
+                    func: 7,
+                    data: vec![1.0, -2.5],
+                    trace: None,
+                },
+                "210000000108070605040302010700000002000000000000000000f03f00000000000004c0",
+            ),
+            (
+                Frame::SubmitF64 {
+                    req: 1,
+                    func: 0xA0B0_C0D0,
+                    data: vec![0.5],
+                    trace: Some(0x1122_3344_5566_7788),
+                },
+                "21000000010100000000000000d0c0b0a001000000000000000000e03f8877665544332211",
+            ),
+            (
+                Frame::SubmitF32 {
+                    req: 2,
+                    func: 3,
+                    data: vec![1.0, -2.5],
+                    trace: None,
+                },
+                "1900000002020000000000000003000000020000000000803f000020c0",
+            ),
+            (
+                Frame::SubmitF32 {
+                    req: 3,
+                    func: 4,
+                    data: vec![0.5],
+                    trace: Some(u64::MAX),
+                },
+                "1d00000002030000000000000004000000010000000000003fffffffffffffffff",
+            ),
+            (
+                Frame::ResultF64 {
+                    req: 5,
+                    data: vec![nan64, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5],
+                },
+                "3500000082050000000000000005000000010000000000f87f0000000000000080000000000000f07f000000000000f0ff000000000000f83f",
+            ),
+            (
+                Frame::ResultF32 {
+                    req: 6,
+                    data: vec![nan32, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.5],
+                },
+                "21000000830600000000000000050000000100c07f000000800000807f000080ff0000c03f",
+            ),
+            (Frame::Ping { nonce: 0xFEED }, "0900000003edfe000000000000"),
+            (Frame::Drain, "0100000004"),
+            (Frame::Ack { req: 9 }, "09000000810900000000000000"),
+            (
+                Frame::Error {
+                    req: 10,
+                    code: ErrorCode::RetryAfter,
+                    detail: 500,
+                },
+                "0e000000840a0000000000000003f4010000",
+            ),
+            (
+                Frame::Pong {
+                    nonce: 11,
+                    draining: true,
+                    queued_elems: 12,
+                    inflight: 13,
+                    queued_jobs: 14,
+                    flushes: 15,
+                    eval_p99_us: 16,
+                },
+                "32000000850b00000000000000010c000000000000000d000000000000000e000000000000000f000000000000001000000000000000",
+            ),
+            (Frame::StatsRequest { nonce: 17 }, "09000000051100000000000000"),
+            (
+                Frame::Stats {
+                    nonce: 18,
+                    snapshot: vec![0xDE, 0xAD, 0xBE, 0xEF],
+                },
+                "1100000086120000000000000004000000deadbeef",
+            ),
+        ];
+        for (frame, want) in &goldens {
+            let bytes = frame.encode();
+            assert_eq!(hex(&bytes), *want, "{frame:?}");
+            let decoded = Frame::decode_payload(&bytes[HEADER_LEN..]).expect("golden decodes");
+            assert_eq!(hex(&decoded.encode()), *want, "re-encoded {frame:?}");
+        }
+    }
 }
