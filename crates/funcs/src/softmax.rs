@@ -7,6 +7,8 @@
 //! by an arbitrary approximation, so the accuracy experiments can measure
 //! the end-to-end impact of approximating only the transcendental part.
 
+use std::{fmt::Display, iter::Sum, ops::DivAssign, ops::Sub};
+
 /// Computes the numerically stable softmax of `xs` into a fresh vector.
 ///
 /// # Panics
@@ -38,25 +40,55 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
 /// Panics if `xs` is empty, contains NaN, or if `exp_fn` makes the
 /// normalization sum non-positive.
 pub fn softmax_with<F: Fn(f64) -> f64>(xs: &[f64], exp_fn: F) -> Vec<f64> {
-    assert!(!xs.is_empty(), "softmax of an empty slice");
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, |a, b| {
-        assert!(!b.is_nan(), "softmax input contains NaN");
-        a.max(b)
-    });
-    let mut out: Vec<f64> = xs.iter().map(|&x| exp_fn(x - max)).collect();
-    let sum: f64 = out.iter().sum();
-    assert!(
-        sum > 0.0 && sum.is_finite(),
-        "softmax normalization sum must be positive and finite, got {sum}"
-    );
-    for o in &mut out {
-        *o /= sum;
-    }
-    out
+    softmax_with_batch(xs, |shifted, out| {
+        for (o, &t) in out.iter_mut().zip(shifted) {
+            *o = exp_fn(t);
+        }
+    })
 }
 
-/// Batch variant of [`softmax_with`]: `exp_into` receives the whole
-/// max-shifted row at once and fills `out` with its exponentials.
+/// A float the softmax decomposition runs in: `f64` or `f32`. Each
+/// method is the type's own inherent one, so a softmax in either
+/// precision performs exactly the operations written for it.
+pub trait Float:
+    Copy + Default + Display + PartialOrd + Sum + Sub<Output = Self> + DivAssign
+{
+    /// The larger of two values, ignoring a NaN (`f64::max`).
+    fn max(self, other: Self) -> Self;
+    /// `e^self`.
+    fn exp(self) -> Self;
+    /// Whether the value is NaN.
+    fn is_nan(self) -> bool;
+    /// Whether the value is neither infinite nor NaN.
+    fn is_finite(self) -> bool;
+}
+
+macro_rules! float {
+    ($($t:ident),*) => {$(
+        impl Float for $t {
+            fn max(self, other: Self) -> Self {
+                $t::max(self, other)
+            }
+            fn exp(self) -> Self {
+                $t::exp(self)
+            }
+            fn is_nan(self) -> bool {
+                $t::is_nan(self)
+            }
+            fn is_finite(self) -> bool {
+                $t::is_finite(self)
+            }
+        }
+    )*};
+}
+
+float!(f64, f32);
+
+/// Batch variant of [`softmax_with`], in either precision: `exp_into`
+/// receives the whole max-shifted row at once and fills `out` with its
+/// exponentials. In f32 every intermediate — shift, exponentials, sum,
+/// division — stays f32, so an f32 inference pipeline's softmax never
+/// widens to f64.
 ///
 /// This is the hook batch evaluators use to exponentiate a row in one
 /// sweep instead of a call per element — the evaluation engine passes
@@ -69,49 +101,18 @@ pub fn softmax_with<F: Fn(f64) -> f64>(xs: &[f64], exp_fn: F) -> Vec<f64> {
 ///
 /// Same conditions as [`softmax_with`]: empty or NaN input, or a
 /// non-positive/non-finite normalization sum.
-pub fn softmax_with_batch<F: FnOnce(&[f64], &mut [f64])>(xs: &[f64], exp_into: F) -> Vec<f64> {
+pub fn softmax_with_batch<T: Float, F: FnOnce(&[T], &mut [T])>(xs: &[T], exp_into: F) -> Vec<T> {
     assert!(!xs.is_empty(), "softmax of an empty slice");
-    let max = xs.iter().copied().fold(f64::NEG_INFINITY, |a, b| {
+    let max = xs.iter().copied().fold(xs[0], |a, b| {
         assert!(!b.is_nan(), "softmax input contains NaN");
         a.max(b)
     });
-    let shifted: Vec<f64> = xs.iter().map(|&x| x - max).collect();
-    let mut out = vec![0.0; xs.len()];
+    let shifted: Vec<T> = xs.iter().map(|&x| x - max).collect();
+    let mut out = vec![T::default(); xs.len()];
     exp_into(&shifted, &mut out);
-    let sum: f64 = out.iter().sum();
+    let sum: T = out.iter().copied().sum();
     assert!(
-        sum > 0.0 && sum.is_finite(),
-        "softmax normalization sum must be positive and finite, got {sum}"
-    );
-    for o in &mut out {
-        *o /= sum;
-    }
-    out
-}
-
-/// Single-precision [`softmax_with_batch`]: the identical
-/// max-subtraction decomposition with every intermediate — shift,
-/// exponentials, sum, division — carried in f32, so an f32 inference
-/// pipeline's softmax never widens to f64. The batch evaluator passes
-/// the f32 engine's `eval_into` as `exp_into`, exactly like the f64
-/// variant.
-///
-/// # Panics
-///
-/// Same conditions as [`softmax_with_batch`]: empty or NaN input, or a
-/// non-positive/non-finite normalization sum.
-pub fn softmax_with_batch_f32<F: FnOnce(&[f32], &mut [f32])>(xs: &[f32], exp_into: F) -> Vec<f32> {
-    assert!(!xs.is_empty(), "softmax of an empty slice");
-    let max = xs.iter().copied().fold(f32::NEG_INFINITY, |a, b| {
-        assert!(!b.is_nan(), "softmax input contains NaN");
-        a.max(b)
-    });
-    let shifted: Vec<f32> = xs.iter().map(|&x| x - max).collect();
-    let mut out = vec![0.0f32; xs.len()];
-    exp_into(&shifted, &mut out);
-    let sum: f32 = out.iter().sum();
-    assert!(
-        sum > 0.0 && sum.is_finite(),
+        sum > T::default() && sum.is_finite(),
         "softmax normalization sum must be positive and finite, got {sum}"
     );
     for o in &mut out {
@@ -202,14 +203,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn batch_variant_rejects_empty_input() {
-        softmax_with_batch(&[], |_, _| {});
+        softmax_with_batch::<f64, _>(&[], |_, _| {});
     }
 
     #[test]
     fn f32_batch_variant_sums_to_one_and_tracks_f64() {
         let xs64 = [0.5, -2.0, 3.0, 0.0, -7.5];
         let xs32: Vec<f32> = xs64.iter().map(|&x| x as f32).collect();
-        let p32 = softmax_with_batch_f32(&xs32, |shifted, out| {
+        let p32 = softmax_with_batch(&xs32, |shifted, out| {
             for (&t, o) in shifted.iter().zip(out.iter_mut()) {
                 *o = t.exp();
             }
@@ -225,7 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty")]
     fn f32_batch_variant_rejects_empty_input() {
-        softmax_with_batch_f32(&[], |_, _| {});
+        softmax_with_batch::<f32, _>(&[], |_, _| {});
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! the Table III fleet include a genuine attention path: softmax runs
 //! through the same `exp`-based decomposition the hardware accelerates.
 
-use crate::layers::Layer;
-use crate::tensor::{Tensor, TensorF32};
+use crate::layers::{Engines, Layer};
+use crate::tensor::Tensor;
+use flexsfu_core::{Element, PwlEvaluator};
+use flexsfu_funcs::softmax::{softmax_with_batch, Float};
 use std::sync::{Arc, Mutex};
 
 /// A shared sink that statistic probes append observed values to.
@@ -159,21 +161,19 @@ pub struct SelfAttention {
     grad_wk: Tensor,
     grad_wv: Tensor,
     exp_pwl: Option<flexsfu_core::PwlFunction>,
-    exp_compiled: Option<flexsfu_core::CompiledPwl>,
-    /// The f32 twin of `exp_compiled`, for [`Self::forward_f32`].
-    exp_compiled_f32: Option<flexsfu_core::CompiledPwlF32>,
+    exp_compiled: Option<Engines>,
     cache: Option<AttnCache>,
     /// Observes the shifted softmax logits (the `exp` inputs) when
     /// installed.
     logit_probe: Option<ProbeSink>,
 }
 
-struct AttnCache {
-    x: Tensor,
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    attn: Tensor, // (batch, seq, seq) softmax weights, flattened
+struct AttnCache<T: Element = f64> {
+    x: Tensor<T>,
+    q: Tensor<T>,
+    k: Tensor<T>,
+    v: Tensor<T>,
+    attn: Tensor<T>, // (batch, seq, seq) softmax weights, flattened
 }
 
 impl std::fmt::Debug for SelfAttention {
@@ -208,7 +208,6 @@ impl SelfAttention {
             grad_wv: Tensor::zeros(vec![dim, dim]),
             exp_pwl: None,
             exp_compiled: None,
-            exp_compiled_f32: None,
             cache: None,
             logit_probe: None,
         }
@@ -223,61 +222,37 @@ impl SelfAttention {
 
     /// Installs a PWL substitution for the softmax `exp` stage (inference
     /// only, like activation substitution), compiled once for the
-    /// evaluation engine — in both precisions, so [`Self::forward_f32`]
-    /// has an f32 form of the same table ready.
+    /// evaluation engine in both precisions.
     pub fn set_exp_substitution(&mut self, pwl: Option<flexsfu_core::PwlFunction>) {
-        self.exp_compiled = pwl.as_ref().map(flexsfu_core::PwlFunction::compile);
-        self.exp_compiled_f32 = self
-            .exp_compiled
-            .as_ref()
-            .map(flexsfu_core::CompiledPwlF32::from_compiled);
+        self.exp_compiled = pwl.as_ref().map(Engines::new);
         self.exp_pwl = pwl;
     }
 
-    /// Softmax over a row, honouring the exp substitution at inference.
-    fn softmax_row(&self, row: &[f64], train: bool) -> Vec<f64> {
+    /// Softmax over a row in `T`, honouring the exp substitution at
+    /// inference: the max-subtraction decomposition with every
+    /// intermediate in `T`, the exponentials from the `T` engine's lane
+    /// kernels (then clamped non-negative) or from `T::exp`.
+    fn softmax_row<T: Element + Float>(&self, row: &[T], train: bool) -> Vec<T> {
         if let Some(probe) = &self.logit_probe {
             // Record the same shift the softmax decomposition applies
             // internally, so the probe sees the exp inputs verbatim.
-            let max = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            let max = row.iter().fold(f64::NEG_INFINITY, |m, v| m.max(v.to_f64()));
             if max.is_finite() {
                 let mut sink = probe.lock().expect("probe sink poisoned");
-                sink.extend(row.iter().map(|&v| v - max));
+                sink.extend(row.iter().map(|&v| v.to_f64() - max));
             }
         }
         match (&self.exp_compiled, train) {
-            (Some(engine), false) => {
-                // The batch analogue of `softmax_with(row, |t|
-                // engine.eval_one(t).max(0.0))`: one widened `eval_into`
-                // sweep through the SIMD lane kernels for the PWL exp,
-                // then the same clamp — identical operations in the same
-                // order, so the probabilities match the scalar path.
-                use flexsfu_core::PwlEvaluator;
-                flexsfu_funcs::softmax::softmax_with_batch(row, |shifted, out| {
-                    engine.eval_into(shifted, out);
-                    for o in out.iter_mut() {
-                        *o = o.max(0.0);
-                    }
-                })
-            }
-            _ => flexsfu_funcs::softmax::softmax(row),
-        }
-    }
-
-    /// Softmax over an f32 row: the same max-subtraction decomposition,
-    /// every intermediate in f32. With an exp substitution installed the
-    /// exponentials come from the f32 engine's lane kernels (then the
-    /// same non-negativity clamp as the f64 path); otherwise from
-    /// `f32::exp`.
-    fn softmax_row_f32(&self, row: &[f32]) -> Vec<f32> {
-        match &self.exp_compiled_f32 {
-            Some(engine) => flexsfu_funcs::softmax::softmax_with_batch_f32(row, |shifted, out| {
-                engine.eval_into(shifted, out);
+            // One `eval_into` sweep through the SIMD lane kernels for the
+            // PWL exp, then the clamp — the batch analogue of
+            // `softmax_with(row, |t| engine.eval_one(t).max(0.0))`.
+            (Some(engines), false) => softmax_with_batch(row, |shifted, out| {
+                engines.get::<T>().eval_into(shifted, out);
                 for o in out.iter_mut() {
-                    *o = o.max(0.0);
+                    *o = Float::max(*o, T::default());
                 }
             }),
-            None => flexsfu_funcs::softmax::softmax_with_batch_f32(row, |shifted, out| {
+            _ => softmax_with_batch(row, |shifted, out| {
                 for (o, &t) in out.iter_mut().zip(shifted) {
                     *o = t.exp();
                 }
@@ -285,19 +260,28 @@ impl SelfAttention {
         }
     }
 
-    /// Single-precision inference forward: projections, scores, softmax
-    /// (through the f32 exp engine when a substitution is installed) and
-    /// the value mix all run in f32 — the request data never widens to
-    /// f64. The layer's trained weights are f64; they round to f32 once
-    /// per call, which is the table-conversion analogue of the engine's
-    /// own f64→f32 compile, not part of the request path.
-    ///
-    /// Inference only — nothing is cached, `&self` suffices.
+    /// Inference forward in either precision: projections, scores,
+    /// softmax (through the exp engine of `T` when a substitution is
+    /// installed) and the value mix all run in `T`, so an f32 request
+    /// never widens to f64. The trained weights are f64; in f32 they
+    /// round once per call, the table-conversion analogue of the
+    /// engine's own f64→f32 compile. [`Layer::forward`] with
+    /// `train == false` is this call.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not shaped `(batch, seq·dim)`.
-    pub fn forward_f32(&self, x: &TensorF32) -> TensorF32 {
+    pub fn infer<T: Element + Float>(&self, x: &Tensor<T>) -> Tensor<T> {
+        self.attend(x, false).0
+    }
+
+    /// The forward pass in `T`, plus the activations backward needs
+    /// (kept only when training).
+    fn attend<T: Element + Float>(
+        &self,
+        x: &Tensor<T>,
+        train: bool,
+    ) -> (Tensor<T>, Option<AttnCache<T>>) {
         let (s, d) = (self.seq, self.dim);
         assert_eq!(
             x.shape()[1],
@@ -306,49 +290,8 @@ impl SelfAttention {
             s * d
         );
         let b = x.shape()[0];
-        let scale = 1.0 / (d as f32).sqrt();
-        let wq = TensorF32::from_f64(&self.wq);
-        let wk = TensorF32::from_f64(&self.wk);
-        let wv = TensorF32::from_f64(&self.wv);
-        let mut out = TensorF32::zeros(vec![b, s * d]);
-        for n in 0..b {
-            let tokens =
-                TensorF32::from_vec(x.data()[n * s * d..(n + 1) * s * d].to_vec(), vec![s, d]);
-            let q = tokens.matmul(&wq);
-            let k = tokens.matmul(&wk);
-            let v = tokens.matmul(&wv);
-            let scores = q.matmul(&k.transpose());
-            for i in 0..s {
-                let row: Vec<f32> = (0..s).map(|j| scores.data()[i * s + j] * scale).collect();
-                let w = self.softmax_row_f32(&row);
-                for c in 0..d {
-                    let mut acc = 0.0f32;
-                    for j in 0..s {
-                        acc += w[j] * v.data()[j * d + c];
-                    }
-                    out.data_mut()[n * s * d + i * d + c] = acc;
-                }
-            }
-        }
-        out
-    }
-}
-
-impl Layer for SelfAttention {
-    fn name(&self) -> &'static str {
-        "self_attention"
-    }
-
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (s, d) = (self.seq, self.dim);
-        assert_eq!(
-            x.shape()[1],
-            s * d,
-            "expected (batch, seq*dim) = (_, {})",
-            s * d
-        );
-        let b = x.shape()[0];
-        let scale = 1.0 / (d as f64).sqrt();
+        let scale = T::from_f64(1.0) / T::from_f64((d as f64).sqrt());
+        let (wq, wk, wv) = (self.wq.cast(), self.wk.cast(), self.wv.cast());
         let mut out = Tensor::zeros(vec![b, s * d]);
         let mut attn_all = Tensor::zeros(vec![b, s * s]);
         let mut q_all = Tensor::zeros(vec![b, s * d]);
@@ -358,22 +301,20 @@ impl Layer for SelfAttention {
         for n in 0..b {
             let tokens =
                 Tensor::from_vec(x.data()[n * s * d..(n + 1) * s * d].to_vec(), vec![s, d]);
-            let q = tokens.matmul(&self.wq);
-            let k = tokens.matmul(&self.wk);
-            let v = tokens.matmul(&self.wv);
+            let q = tokens.matmul(&wq);
+            let k = tokens.matmul(&wk);
+            let v = tokens.matmul(&wv);
             // Scores (s × s) then row softmax.
             let scores = q.matmul(&k.transpose());
             for i in 0..s {
-                let row: Vec<f64> = (0..s).map(|j| scores.data()[i * s + j] * scale).collect();
+                let row: Vec<T> = (0..s).map(|j| scores.data()[i * s + j] * scale).collect();
                 let w = self.softmax_row(&row, train);
-                for j in 0..s {
-                    attn_all.data_mut()[n * s * s + i * s + j] = w[j];
-                }
+                attn_all.data_mut()[n * s * s + i * s..n * s * s + (i + 1) * s].copy_from_slice(&w);
                 // out_i = Σ_j w_ij · v_j
                 for c in 0..d {
-                    let mut acc = 0.0;
+                    let mut acc = T::default();
                     for j in 0..s {
-                        acc += w[j] * v.data()[j * d + c];
+                        acc = acc + w[j] * v.data()[j * d + c];
                     }
                     out.data_mut()[n * s * d + i * d + c] = acc;
                 }
@@ -382,14 +323,26 @@ impl Layer for SelfAttention {
             k_all.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(k.data());
             v_all.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(v.data());
         }
+        let cache = train.then(|| AttnCache {
+            x: x.clone(),
+            q: q_all,
+            k: k_all,
+            v: v_all,
+            attn: attn_all,
+        });
+        (out, cache)
+    }
+}
+
+impl Layer for SelfAttention {
+    fn name(&self) -> &'static str {
+        "self_attention"
+    }
+
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let (out, cache) = self.attend(x, train);
         if train {
-            self.cache = Some(AttnCache {
-                x: x.clone(),
-                q: q_all,
-                k: k_all,
-                v: v_all,
-                attn: attn_all,
-            });
+            self.cache = cache;
         }
         out
     }
@@ -588,11 +541,11 @@ mod tests {
             (0..24).map(|i| (i as f64 * 0.43).sin()).collect(),
             vec![2, 12],
         );
-        let x32 = TensorF32::from_f64(&x64);
+        let x32: Tensor<f32> = x64.cast();
 
         // Exact exp in both precisions: the rows stay convex and close.
         let y64 = attn.forward(&x64, false);
-        let y32 = attn.forward_f32(&x32);
+        let y32 = attn.infer(&x32);
         assert_eq!(y32.shape(), y64.shape());
         for (a, b) in y32.data().iter().zip(y64.data()) {
             assert!((f64::from(*a) - b).abs() < 1e-4, "{a} vs {b}");
@@ -602,7 +555,7 @@ mod tests {
         // f32 engine and still tracks the f64 substituted path.
         attn.set_exp_substitution(Some(uniform_pwl(&Exp, 32, (-10.0, 0.1))));
         let y64 = attn.forward(&x64, false);
-        let y32 = attn.forward_f32(&x32);
+        let y32 = attn.infer(&x32);
         for (a, b) in y32.data().iter().zip(y64.data()) {
             assert!((f64::from(*a) - b).abs() < 1e-4, "{a} vs {b}");
         }

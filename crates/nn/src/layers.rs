@@ -1,8 +1,9 @@
 //! Layers with forward and backward passes.
 
-use crate::tensor::{Tensor, TensorF32};
-use flexsfu_core::{CompiledPwl, CompiledPwlF32, PwlEvaluator, PwlFunction};
+use crate::tensor::Tensor;
+use flexsfu_core::{CompiledPwl, CompiledPwlF32, Element, PwlEngine, PwlEvaluator, PwlFunction};
 use flexsfu_funcs::Activation;
+use std::any::Any;
 
 /// A differentiable layer.
 ///
@@ -122,6 +123,26 @@ impl Layer for Dense {
     }
 }
 
+/// A PWL table compiled for inference in both precisions.
+pub(crate) struct Engines(CompiledPwl, CompiledPwlF32);
+
+impl Engines {
+    pub(crate) fn new(pwl: &PwlFunction) -> Self {
+        let f64 = pwl.compile();
+        let f32 = CompiledPwlF32::from_compiled(&f64);
+        Self(f64, f32)
+    }
+
+    /// The engine in precision `T` — one of the two, since [`Element`]
+    /// is sealed to `f64` and `f32`.
+    pub(crate) fn get<T: Element>(&self) -> &PwlEngine<T> {
+        let (f64, f32): (&dyn Any, &dyn Any) = (&self.0, &self.1);
+        f64.downcast_ref()
+            .or_else(|| f32.downcast_ref())
+            .expect("Element is f64 or f32")
+    }
+}
+
 /// Element-wise activation layer with an optional PWL override.
 ///
 /// Training always uses the exact function and its derivative; at
@@ -129,17 +150,15 @@ impl Layer for Dense {
 /// installed — exactly the paper's substitution protocol ("we substitute
 /// the layers within the DNN models without any retraining").
 ///
-/// Substitution compiles the function once ([`CompiledPwl`]) and the
-/// forward pass batch-evaluates the whole tensor through the engine —
-/// bit-identical to scalar `pwl.eval` per element, minus a binary search
-/// and a division each.
+/// Substitution compiles the function once per precision
+/// ([`CompiledPwl`] and [`CompiledPwlF32`]) and the inference pass
+/// batch-evaluates the whole tensor through the engine of its
+/// precision — bit-identical to scalar `pwl.eval` per element, minus a
+/// binary search and a division each.
 pub struct ActivationLayer {
     act: Box<dyn Activation>,
     pwl: Option<PwlFunction>,
-    compiled: Option<CompiledPwl>,
-    /// The f32 twin of `compiled`, built from the same table — the
-    /// engine [`Self::forward_f32`] evaluates through.
-    compiled_f32: Option<CompiledPwlF32>,
+    compiled: Option<Engines>,
     cached_x: Option<Tensor>,
 }
 
@@ -159,7 +178,6 @@ impl ActivationLayer {
             act,
             pwl: None,
             compiled: None,
-            compiled_f32: None,
             cached_x: None,
         }
     }
@@ -170,11 +188,9 @@ impl ActivationLayer {
     }
 
     /// Installs (or clears) the PWL substitution, compiling it for the
-    /// batch engine — in both precisions, so [`Self::forward_f32`] has
-    /// an f32 form of the same table ready.
+    /// batch engine in both precisions.
     pub fn set_substitution(&mut self, pwl: Option<PwlFunction>) {
-        self.compiled = pwl.as_ref().map(PwlFunction::compile);
-        self.compiled_f32 = self.compiled.as_ref().map(CompiledPwlF32::from_compiled);
+        self.compiled = pwl.as_ref().map(Engines::new);
         self.pwl = pwl;
     }
 
@@ -183,25 +199,23 @@ impl ActivationLayer {
         self.pwl.is_some()
     }
 
-    /// Single-precision inference forward: with a substitution
-    /// installed, the tensor batch-evaluates through the f32 engine's
-    /// eight-wide kernels — input, tables and output all f32, no f64
-    /// anywhere in the request path, bit-identical to
-    /// [`CompiledPwlF32::eval_batch`] on the flat data. Without a
-    /// substitution there is no f32 table, so the exact activation runs
-    /// per element in f64 and rounds once on the way out (the same
-    /// "exact fallback" semantics as [`Layer::forward`], at f64 cost).
+    /// Inference forward in either precision. With a substitution
+    /// installed the tensor batch-evaluates through the engine of its
+    /// precision — in f32 the input, tables and output are all f32 (the
+    /// eight-wide kernels), bit-identical to
+    /// [`CompiledPwlF32::eval_batch`] on the flat data. Without one the
+    /// exact activation runs per element in f64 and rounds once on the
+    /// way out. [`Layer::forward`] with `train == false` is this call.
     ///
-    /// Inference only — there is no f32 training path, so nothing is
-    /// cached and `&self` suffices.
-    pub fn forward_f32(&self, x: &TensorF32) -> TensorF32 {
-        match &self.compiled_f32 {
-            Some(engine) => {
-                let mut y = TensorF32::zeros(x.shape().to_vec());
-                engine.eval_into(x.data(), y.data_mut());
+    /// Nothing is cached, so `&self` suffices.
+    pub fn infer<T: Element>(&self, x: &Tensor<T>) -> Tensor<T> {
+        match &self.compiled {
+            Some(engines) => {
+                let mut y = Tensor::zeros(x.shape().to_vec());
+                engines.get::<T>().eval_into(x.data(), y.data_mut());
                 y
             }
-            None => x.map(|v| self.act.eval(f64::from(v)) as f32),
+            None => x.map(|v| T::from_f64(self.act.eval(v.to_f64()))),
         }
     }
 }
@@ -217,14 +231,7 @@ impl Layer for ActivationLayer {
             // Training never sees the approximation.
             return x.map(|v| self.act.eval(v));
         }
-        match &self.compiled {
-            Some(engine) => {
-                let mut y = Tensor::zeros(x.shape().to_vec());
-                engine.eval_into(x.data(), y.data_mut());
-                y
-            }
-            None => x.map(|v| self.act.eval(v)),
-        }
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -470,6 +477,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TensorF32;
     use flexsfu_core::init::uniform_pwl;
     use flexsfu_funcs::{by_name, Relu, Silu};
 
@@ -560,14 +568,14 @@ mod tests {
             (0..257).map(|i| i as f32 * 0.05 - 6.0).collect(),
             vec![1, 257],
         );
-        let y = layer.forward_f32(&x);
+        let y = layer.infer(&x);
         assert_eq!(y.shape(), x.shape());
         let want = engine.eval_batch(x.data());
         for (a, b) in y.data().iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         // And it tracks the f64 substituted path closely.
-        let y64 = layer.forward(&x.to_f64(), false);
+        let y64 = layer.forward(&x.cast(), false);
         for (a, b) in y.data().iter().zip(y64.data()) {
             assert!((f64::from(*a) - b).abs() < 1e-5);
         }
@@ -577,7 +585,7 @@ mod tests {
     fn forward_f32_without_substitution_rounds_the_exact_activation() {
         let layer = ActivationLayer::new(by_name("silu").unwrap());
         let x = TensorF32::from_vec(vec![-2.0, 0.0, 2.0], vec![1, 3]);
-        let y = layer.forward_f32(&x);
+        let y = layer.infer(&x);
         for (a, &xv) in y.data().iter().zip(x.data()) {
             assert_eq!(*a, Silu.eval(f64::from(xv)) as f32);
         }

@@ -15,9 +15,11 @@
 //! Provided pieces:
 //!
 //! * [`Tensor`] — a flat-storage n-d array with the few ops DNNs need,
-//!   and [`TensorF32`], its single-precision twin for the inference
-//!   fast path (`forward_f32` on activation, attention and serving
-//!   layers keeps a request in f32 end to end),
+//!   generic over the engine precision; [`TensorF32`] (`Tensor<f32>`)
+//!   is the inference fast path's container. Each inference layer
+//!   (activation, attention, serving) has one `infer` body for both
+//!   precisions, which its f64 `forward(x, false)` runs too, so a
+//!   request born f32 stays f32 end to end,
 //! * [`layers`] — `Dense`, `Conv2d`, `MaxPool2`, `Flatten` and
 //!   [`layers::ActivationLayer`] with full backprop,
 //! * [`serving`] — [`serving::AsyncActivationLayer`], the same

@@ -23,9 +23,9 @@
 //! emulator — the model code does not change.
 
 use crate::layers::Layer;
-use crate::tensor::{Tensor, TensorF32};
+use crate::tensor::Tensor;
 use flexsfu_funcs::Activation;
-use flexsfu_serve::{FunctionId, ServeHandle};
+use flexsfu_serve::{FunctionId, Precision, ServeHandle};
 
 /// An activation layer that evaluates through a serving front-end at
 /// inference and through the exact function during training.
@@ -68,30 +68,32 @@ impl AsyncActivationLayer {
         self.act.name()
     }
 
-    /// Single-precision inference forward: the whole tensor goes to the
-    /// server as one **f32 job** ([`ServeHandle::submit_f32`]), flows
-    /// through the f32 flush lane and the backend's f32 program, and
-    /// comes back f32 — bit-identical to evaluating the flat data
-    /// directly with the registry's
-    /// [`flexsfu_serve::FunctionRegistry::engine_f32`]. No f64 anywhere
-    /// in the request path.
+    /// Inference forward in either precision: the whole tensor goes to
+    /// the server as one job in its precision ([`ServeHandle::submit`]),
+    /// flows through that precision's flush lane and backend program,
+    /// and comes back in it — in f32 bit-identical to evaluating the
+    /// flat data directly with the registry's
+    /// [`flexsfu_serve::FunctionRegistry::engine_f32`], with no f64
+    /// anywhere in the request path. [`Layer::forward`] with
+    /// `train == false` is this call.
     ///
-    /// Inference only, like the other `forward_f32`s — nothing is
-    /// cached, `&self` suffices.
+    /// Nothing is cached, so `&self` suffices.
     ///
     /// # Panics
     ///
-    /// As for the inference mode of [`Layer::forward`] — a rejected or
-    /// dropped job panics — plus the function's backend lacking an f32
-    /// lane ([`flexsfu_serve::ServeError::PrecisionUnsupported`]), which
-    /// is a deployment mismatch worth failing loudly on.
-    pub fn forward_f32(&self, x: &TensorF32) -> TensorF32 {
+    /// If the server rejects or drops the job (shutdown mid-forward, or
+    /// a worker panic) — the layer API has no error channel, and
+    /// serving a model through a server being torn down is a deployment
+    /// bug worth failing loudly on — or if the function's backend lacks
+    /// a lane in `T` ([`flexsfu_serve::ServeError::PrecisionUnsupported`]),
+    /// a deployment mismatch.
+    pub fn infer<T: Precision>(&self, x: &Tensor<T>) -> Tensor<T> {
         let ticket = self
             .handle
-            .submit_f32(self.func, x.data().to_vec())
-            .expect("serving f32 submit failed");
+            .submit(self.func, x.data().to_vec())
+            .expect("serving submit failed");
         let ys = ticket.wait().expect("serving result dropped");
-        TensorF32::from_vec(ys, x.shape().to_vec())
+        Tensor::from_vec(ys, x.shape().to_vec())
     }
 }
 
@@ -102,22 +104,14 @@ impl Layer for AsyncActivationLayer {
 
     /// # Panics
     ///
-    /// Inference-mode forwards panic if the server rejects or drops the
-    /// job (shutdown mid-forward, or a worker panic) — the layer API has
-    /// no error channel, and serving a model through a server being torn
-    /// down is a deployment bug worth failing loudly on.
+    /// Inference-mode forwards panic as [`AsyncActivationLayer::infer`].
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
         if train {
             self.cached_x = Some(x.clone());
             // Training never sees the approximation.
             return x.map(|v| self.act.eval(v));
         }
-        let ticket = self
-            .handle
-            .submit(self.func, x.data().to_vec())
-            .expect("serving submit failed");
-        let ys = ticket.wait().expect("serving result dropped");
-        Tensor::from_vec(ys, x.shape().to_vec())
+        self.infer(x)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -133,6 +127,7 @@ impl Layer for AsyncActivationLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TensorF32;
     use flexsfu_core::init::uniform_pwl;
     use flexsfu_core::{CompiledPwl, PwlEvaluator};
     use flexsfu_funcs::{by_name, Silu};
@@ -232,7 +227,7 @@ mod tests {
             (0..257).map(|i| i as f32 * 0.05 - 6.0).collect(),
             vec![1, 257],
         );
-        let y = layer.forward_f32(&x);
+        let y = layer.infer(&x);
         assert_eq!(y.shape(), x.shape());
         let want = engine32.eval_batch(x.data());
         for (a, b) in y.data().iter().zip(&want) {

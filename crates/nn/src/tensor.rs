@@ -1,6 +1,13 @@
 //! A small flat-storage tensor with the operations the substrate needs.
 
-/// An n-dimensional array stored row-major in a flat `Vec<f64>`.
+use flexsfu_core::Element;
+
+/// An n-dimensional array stored row-major in a flat `Vec<T>`, in either
+/// engine precision: `f64` (the default, and the only precision
+/// training runs in) or `f32` ([`TensorF32`]), the inference fast
+/// path's container — a tensor born f32 flows through every layer's
+/// `infer` (and the serving adapter's f32 lane) without ever widening
+/// to f64.
 ///
 /// # Examples
 ///
@@ -13,12 +20,27 @@
 /// assert_eq!(c.data(), a.data());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Tensor {
+pub struct Tensor<T: Element = f64> {
     shape: Vec<usize>,
-    data: Vec<f64>,
+    data: Vec<T>,
 }
 
-impl Tensor {
+/// The single-precision [`Tensor`].
+///
+/// # Examples
+///
+/// ```
+/// use flexsfu_nn::{Tensor, TensorF32};
+///
+/// let a = TensorF32::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
+/// assert_eq!(a.transpose().at2(0, 1), 3.0);
+/// // Widening to f64 is exact; rounding back recovers the tensor.
+/// let wide: Tensor = a.cast();
+/// assert_eq!(wide.cast::<f32>(), a);
+/// ```
+pub type TensorF32 = Tensor<f32>;
+
+impl<T: Element> Tensor<T> {
     /// A zero tensor of the given shape.
     ///
     /// # Panics
@@ -30,7 +52,7 @@ impl Tensor {
         let n = shape.iter().product();
         Self {
             shape,
-            data: vec![0.0; n],
+            data: vec![T::default(); n],
         }
     }
 
@@ -39,19 +61,17 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if `data.len()` does not match the shape volume.
-    pub fn from_vec(data: Vec<f64>, shape: Vec<usize>) -> Self {
+    pub fn from_vec(data: Vec<T>, shape: Vec<usize>) -> Self {
         let n: usize = shape.iter().product();
         assert_eq!(data.len(), n, "data length does not match shape");
         Self { shape, data }
     }
 
-    /// The `n × n` identity matrix.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Self::zeros(vec![n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
+    /// The same tensor in precision `U`: each element rounds once to
+    /// the nearest `U` (widening to f64 is exact) — the boundary
+    /// crossing between an f64 caller and an f32 pipeline, and back.
+    pub fn cast<U: Element>(&self) -> Tensor<U> {
+        self.map(|v| U::from_f64(v.to_f64()))
     }
 
     /// The shape.
@@ -70,12 +90,12 @@ impl Tensor {
     }
 
     /// Immutable view of the flat data.
-    pub fn data(&self) -> &[f64] {
+    pub fn data(&self) -> &[T] {
         &self.data
     }
 
     /// Mutable view of the flat data.
-    pub fn data_mut(&mut self) -> &mut [f64] {
+    pub fn data_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
 
@@ -96,34 +116,34 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D or indices are out of range.
-    pub fn at2(&self, r: usize, c: usize) -> f64 {
+    pub fn at2(&self, r: usize, c: usize) -> T {
         assert_eq!(self.shape.len(), 2, "at2 needs a 2-D tensor");
         assert!(r < self.shape[0] && c < self.shape[1], "index out of range");
         self.data[r * self.shape[1] + c]
     }
 
-    /// Matrix multiplication of two 2-D tensors.
+    /// Matrix multiplication of two 2-D tensors, accumulated in `T`.
     ///
     /// # Panics
     ///
     /// Panics unless `self` is `(m, k)` and `rhs` is `(k, n)`.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
+    pub fn matmul(&self, rhs: &Self) -> Self {
         assert_eq!(self.shape.len(), 2, "lhs must be 2-D");
         assert_eq!(rhs.shape.len(), 2, "rhs must be 2-D");
         let (m, k) = (self.shape[0], self.shape[1]);
         let (k2, n) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "inner dimensions must agree ({k} vs {k2})");
-        let mut out = Tensor::zeros(vec![m, n]);
+        let mut out = Self::zeros(vec![m, n]);
         for i in 0..m {
             for p in 0..k {
                 let a = self.data[i * k + p];
-                if a == 0.0 {
+                if a == T::default() {
                     continue;
                 }
                 let row = &rhs.data[p * n..(p + 1) * n];
                 let dst = &mut out.data[i * n..(i + 1) * n];
                 for (d, &b) in dst.iter_mut().zip(row) {
-                    *d += a * b;
+                    *d = *d + a * b;
                 }
             }
         }
@@ -135,10 +155,10 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics if the tensor is not 2-D.
-    pub fn transpose(&self) -> Tensor {
+    pub fn transpose(&self) -> Self {
         assert_eq!(self.shape.len(), 2, "transpose needs a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = Tensor::zeros(vec![n, m]);
+        let mut out = Self::zeros(vec![n, m]);
         for i in 0..m {
             for j in 0..n {
                 out.data[j * m + i] = self.data[i * n + j];
@@ -147,12 +167,23 @@ impl Tensor {
         out
     }
 
-    /// Element-wise map into a new tensor.
-    pub fn map(&self, f: impl Fn(f64) -> f64) -> Tensor {
+    /// Element-wise map into a new tensor (of any precision).
+    pub fn map<U: Element>(&self, f: impl Fn(T) -> U) -> Tensor<U> {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&x| f(x)).collect(),
         }
+    }
+}
+
+impl Tensor {
+    /// The `n × n` identity matrix.
+    pub fn eye(n: usize) -> Self {
+        let mut t = Self::zeros(vec![n, n]);
+        for i in 0..n {
+            t.data[i * n + i] = 1.0;
+        }
+        t
     }
 
     /// Element-wise addition.
@@ -182,176 +213,6 @@ impl Tensor {
         assert_eq!(self.shape, rhs.shape, "shape mismatch in axpy");
         for (a, b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
-        }
-    }
-}
-
-/// The single-precision twin of [`Tensor`]: an n-dimensional array
-/// stored row-major in a flat `Vec<f32>`.
-///
-/// This is the inference fast path's container — a tensor born f32
-/// flows through [`crate::layers::ActivationLayer::forward_f32`] (and
-/// the serving adapter's f32 lane) without ever widening to f64.
-/// Training stays f64, so only the forward-path operations exist here.
-///
-/// # Examples
-///
-/// ```
-/// use flexsfu_nn::TensorF32;
-///
-/// let a = TensorF32::from_vec(vec![1.0, 2.0, 3.0, 4.0], vec![2, 2]);
-/// assert_eq!(a.transpose().at2(0, 1), 3.0);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TensorF32 {
-    shape: Vec<usize>,
-    data: Vec<f32>,
-}
-
-impl TensorF32 {
-    /// A zero tensor of the given shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape is empty or has a zero dimension.
-    pub fn zeros(shape: Vec<usize>) -> Self {
-        assert!(!shape.is_empty(), "shape must have at least one dimension");
-        assert!(shape.iter().all(|&d| d > 0), "zero-sized dimension");
-        let n = shape.iter().product();
-        Self {
-            shape,
-            data: vec![0.0; n],
-        }
-    }
-
-    /// Wraps existing data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` does not match the shape volume.
-    pub fn from_vec(data: Vec<f32>, shape: Vec<usize>) -> Self {
-        let n: usize = shape.iter().product();
-        assert_eq!(data.len(), n, "data length does not match shape");
-        Self { shape, data }
-    }
-
-    /// Rounds a double-precision tensor to f32 once — the boundary
-    /// crossing for callers whose upstream data is f64. Everything
-    /// downstream of this call stays single-precision.
-    pub fn from_f64(t: &Tensor) -> Self {
-        Self {
-            shape: t.shape().to_vec(),
-            data: t.data().iter().map(|&v| v as f32).collect(),
-        }
-    }
-
-    /// Widens back to f64 (exact — every f32 is representable), for
-    /// comparing an f32 pipeline's output against the f64 reference.
-    pub fn to_f64(&self) -> Tensor {
-        Tensor::from_vec(
-            self.data.iter().map(|&v| v as f64).collect(),
-            self.shape.clone(),
-        )
-    }
-
-    /// The shape.
-    pub fn shape(&self) -> &[usize] {
-        &self.shape
-    }
-
-    /// Total element count.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the tensor has no elements (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Immutable view of the flat data.
-    pub fn data(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// Mutable view of the flat data.
-    pub fn data_mut(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Reshapes in place (volume must match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new shape has a different volume.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Self {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape changes volume");
-        self.shape = shape;
-        self
-    }
-
-    /// 2-D element accessor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D or indices are out of range.
-    pub fn at2(&self, r: usize, c: usize) -> f32 {
-        assert_eq!(self.shape.len(), 2, "at2 needs a 2-D tensor");
-        assert!(r < self.shape[0] && c < self.shape[1], "index out of range");
-        self.data[r * self.shape[1] + c]
-    }
-
-    /// Matrix multiplication of two 2-D tensors, accumulated in f32.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `self` is `(m, k)` and `rhs` is `(k, n)`.
-    pub fn matmul(&self, rhs: &TensorF32) -> TensorF32 {
-        assert_eq!(self.shape.len(), 2, "lhs must be 2-D");
-        assert_eq!(rhs.shape.len(), 2, "rhs must be 2-D");
-        let (m, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (rhs.shape[0], rhs.shape[1]);
-        assert_eq!(k, k2, "inner dimensions must agree ({k} vs {k2})");
-        let mut out = TensorF32::zeros(vec![m, n]);
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &rhs.data[p * n..(p + 1) * n];
-                let dst = &mut out.data[i * n..(i + 1) * n];
-                for (d, &b) in dst.iter_mut().zip(row) {
-                    *d += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Transpose of a 2-D tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not 2-D.
-    pub fn transpose(&self) -> TensorF32 {
-        assert_eq!(self.shape.len(), 2, "transpose needs a 2-D tensor");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        let mut out = TensorF32::zeros(vec![n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
-            }
-        }
-        out
-    }
-
-    /// Element-wise map into a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32) -> TensorF32 {
-        TensorF32 {
-            shape: self.shape.clone(),
-            data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 }
@@ -405,7 +266,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn mismatched_matmul_panics() {
-        let a = Tensor::zeros(vec![2, 3]);
+        let a: Tensor = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![2, 3]);
         a.matmul(&b);
     }
@@ -422,18 +283,18 @@ mod tests {
         // tensor types must agree bit-for-bit after widening.
         let a64 = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], vec![2, 3]);
         let b64 = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], vec![3, 2]);
-        let a32 = TensorF32::from_f64(&a64);
-        let b32 = TensorF32::from_f64(&b64);
+        let a32: TensorF32 = a64.cast();
+        let b32: TensorF32 = b64.cast();
         let c32 = a32.matmul(&b32);
-        assert_eq!(c32.to_f64(), a64.matmul(&b64));
-        assert_eq!(a32.transpose().to_f64(), a64.transpose());
+        assert_eq!(c32.cast::<f64>(), a64.matmul(&b64));
+        assert_eq!(a32.transpose().cast::<f64>(), a64.transpose());
         assert_eq!(a32.transpose().at2(2, 1), 6.0);
     }
 
     #[test]
     fn f32_roundtrip_and_map() {
         let t = TensorF32::from_vec(vec![1.5, -2.25], vec![2]);
-        assert_eq!(TensorF32::from_f64(&t.to_f64()), t);
+        assert_eq!(t.cast::<f64>().cast::<f32>(), t);
         assert_eq!(t.map(|x| x * 2.0).data(), &[3.0, -4.5]);
         let r = t.clone().reshape(vec![1, 2]);
         assert_eq!(r.shape(), &[1, 2]);

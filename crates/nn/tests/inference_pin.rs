@@ -75,12 +75,12 @@ fn activation_layer_inference_bits_are_pinned() {
     let mut layer = ActivationLayer::new(by_name("silu").unwrap());
     let exact = (
         hash64(&layer.forward(&x, false)),
-        hash32(&layer.forward_f32(&x32)),
+        hash32(&layer.infer(&x32)),
     );
     layer.set_substitution(Some(uniform_pwl(&Silu, 33, (-8.0, 8.0))));
     let pwl = (
         hash64(&layer.forward(&x, false)),
-        hash32(&layer.forward_f32(&x32)),
+        hash32(&layer.infer(&x32)),
     );
     assert_eq!(
         [exact, pwl],
@@ -97,15 +97,9 @@ fn self_attention_inference_bits_are_pinned() {
     let mut rng = move || w.next().expect("enough weights");
     let mut attn = SelfAttention::new(4, 6, &mut rng);
     let (x, x32) = inputs(19, 3, 24, 2.0);
-    let exact = (
-        hash64(&attn.forward(&x, false)),
-        hash32(&attn.forward_f32(&x32)),
-    );
+    let exact = (hash64(&attn.forward(&x, false)), hash32(&attn.infer(&x32)));
     attn.set_exp_substitution(Some(uniform_pwl(&Exp, 32, (-10.0, 0.1))));
-    let pwl = (
-        hash64(&attn.forward(&x, false)),
-        hash32(&attn.forward_f32(&x32)),
-    );
+    let pwl = (hash64(&attn.forward(&x, false)), hash32(&attn.infer(&x32)));
     assert_eq!(
         [exact, pwl],
         [
@@ -131,7 +125,7 @@ fn serving_adapter_inference_bits_are_pinned() {
         let (x, x32) = activation_inputs();
         let got = (
             hash64(&layer.forward(&x, false)),
-            hash32(&layer.forward_f32(&x32)),
+            hash32(&layer.infer(&x32)),
         );
         server.shutdown();
         assert_eq!(got, (0x4eaa_852f_87d4_fac1, 0x7538_4724_ec76_ce61));

@@ -24,8 +24,9 @@
 //! [`TelemetryExporter::spawn`] wraps the same tick in a thread for
 //! production.
 
+use crate::cursor::ByteCursor;
 use crate::metrics::{Counter, MetricsRegistry};
-use crate::snapshot::{Cur, MetricsSnapshot, SnapshotError};
+use crate::snapshot::{finish, read_key, MetricsSnapshot, SnapshotError};
 use crate::span::{Span, SpanRecorder, STAGE_COUNT};
 use std::collections::VecDeque;
 use std::fmt;
@@ -109,33 +110,33 @@ impl TelemetryBatch {
     /// shares the snapshot codec's error vocabulary); trailing bytes
     /// are rejected.
     pub fn decode(bytes: &[u8]) -> Result<TelemetryBatch, SnapshotError> {
-        let mut c = Cur::new(bytes);
-        let magic = c.take::<4>()?;
+        let mut c = ByteCursor::new(bytes);
+        let magic = c.array::<4>()?;
         if magic != BATCH_MAGIC {
             return Err(SnapshotError::BadMagic(magic));
         }
-        let version = u16::from_le_bytes(c.take::<2>()?);
+        let version = c.u16()?;
         if version != BATCH_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let origin = c.key()?;
-        let seq = u64::from_le_bytes(c.take::<8>()?);
-        let blen = u32::from_le_bytes(c.take::<4>()?) as usize;
+        let origin = read_key(&mut c)?;
+        let seq = c.u64()?;
+        let blen = c.u32()? as usize;
         let snapshot = MetricsSnapshot::decode(c.bytes(blen)?)?;
         // Each span needs at least job + func + flag + stamp count.
         let nspans = c.count(8 + 4 + 1 + 2)?;
         let mut spans = Vec::with_capacity(nspans);
         for _ in 0..nspans {
-            let job = u64::from_le_bytes(c.take::<8>()?);
-            let func = u32::from_le_bytes(c.take::<4>()?);
-            let trace = match c.take::<1>()? {
-                [0] => None,
-                _ => Some(u64::from_le_bytes(c.take::<8>()?)),
+            let job = c.u64()?;
+            let func = c.u32()?;
+            let trace = match c.u8()? {
+                0 => None,
+                _ => Some(c.u64()?),
             };
-            let nstamps = u16::from_le_bytes(c.take::<2>()?) as usize;
+            let nstamps = c.u16()? as usize;
             let mut stamps = [None; STAGE_COUNT];
             for i in 0..nstamps {
-                let raw = u64::from_le_bytes(c.take::<8>()?);
+                let raw = c.u64()?;
                 if i < STAGE_COUNT && raw != u64::MAX {
                     stamps[i] = Some(raw);
                 }
@@ -147,7 +148,7 @@ impl TelemetryBatch {
                 stamps,
             });
         }
-        c.finish()?;
+        finish(&c)?;
         Ok(TelemetryBatch {
             origin,
             seq,

@@ -16,7 +16,9 @@
 //!    [`ManualClock`] and produce bit-identical spans.
 //! 3. **Exposition** ([`snapshot`]): mergeable [`MetricsSnapshot`]s with
 //!    a versioned `FXOB` binary codec (total decoding — this is the wire
-//!    `Stats` frame payload) and a Prometheus text rendering.
+//!    `Stats` frame payload) and a Prometheus text rendering. Its
+//!    decoder, the telemetry batch's, the wire frame codec's and the
+//!    traffic trace's all read through one [`ByteCursor`] ([`cursor`]).
 //! 4. **Distributed tracing** ([`trace`]): spans carry a u64 trace id
 //!    across process boundaries (the router mints it, the shard adopts
 //!    it off the wire) and the [`TraceAssembler`] joins per-process
@@ -34,6 +36,7 @@
 //! stay zero-overhead when observability is off.
 
 pub mod clock;
+pub mod cursor;
 pub mod export;
 pub mod metrics;
 pub mod slo;
@@ -42,6 +45,7 @@ pub mod span;
 pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use cursor::{ByteCursor, OutOfBytes};
 pub use export::{
     ExporterConfig, ExporterHandle, MemorySink, SinkError, TelemetryBatch, TelemetryExporter,
     TelemetrySink, TickReport, BATCH_MAGIC, BATCH_VERSION, M_EXPORTER_DROPPED, M_EXPORTER_FAILURES,

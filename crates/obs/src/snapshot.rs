@@ -10,6 +10,7 @@
 //! [`MetricsSnapshot::with_label`] stamps a label onto every key so
 //! per-shard snapshots stay distinguishable inside one merged view.
 
+use crate::cursor::{ByteCursor, OutOfBytes};
 use crate::metrics::{bucket_upper, HistogramSnapshot, HIST_BUCKETS};
 use std::fmt;
 
@@ -212,12 +213,12 @@ impl MetricsSnapshot {
     /// Any malformed input yields a [`SnapshotError`]; trailing bytes
     /// after a complete snapshot are rejected.
     pub fn decode(bytes: &[u8]) -> Result<MetricsSnapshot, SnapshotError> {
-        let mut c = Cur::new(bytes);
-        let magic = c.take::<4>()?;
+        let mut c = ByteCursor::new(bytes);
+        let magic = c.array::<4>()?;
         if magic != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic(magic));
         }
-        let version = u16::from_le_bytes(c.take::<2>()?);
+        let version = c.u16()?;
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
@@ -225,28 +226,23 @@ impl MetricsSnapshot {
         let n = c.count(2 + 8)?;
         let mut counters = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = c.key()?;
-            let v = u64::from_le_bytes(c.take::<8>()?);
-            counters.push((k, v));
+            counters.push((read_key(&mut c)?, c.u64()?));
         }
         let n = c.count(2 + 8)?;
         let mut gauges = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = c.key()?;
-            let v = f64::from_bits(u64::from_le_bytes(c.take::<8>()?));
-            gauges.push((k, v));
+            gauges.push((read_key(&mut c)?, f64::from_bits(c.u64()?)));
         }
         let n = c.count(2 + 8 + 2)?;
         let mut histograms = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = c.key()?;
-            let sum = u64::from_le_bytes(c.take::<8>()?);
-            let nonzero = u16::from_le_bytes(c.take::<2>()?) as usize;
+            let k = read_key(&mut c)?;
             let mut h = HistogramSnapshot::new();
-            h.sum = sum;
+            h.sum = c.u64()?;
+            let nonzero = c.u16()? as usize;
             for _ in 0..nonzero {
-                let idx = u16::from_le_bytes(c.take::<2>()?);
-                let cnt = u64::from_le_bytes(c.take::<8>()?);
+                let idx = c.u16()?;
+                let cnt = c.u64()?;
                 if idx as usize >= HIST_BUCKETS {
                     return Err(SnapshotError::BucketOutOfRange(idx));
                 }
@@ -254,7 +250,7 @@ impl MetricsSnapshot {
             }
             histograms.push((k, h));
         }
-        c.finish()?;
+        finish(&c)?;
         let mut out = MetricsSnapshot {
             counters,
             gauges,
@@ -438,62 +434,27 @@ fn escape_labels(labels: &str) -> String {
     }
 }
 
-/// A bounds-checked little-endian byte cursor: every read fails with
-/// [`SnapshotError::Truncated`] instead of panicking, which is what makes
-/// the snapshot and telemetry-batch decoders total.
-pub(crate) struct Cur<'a> {
-    b: &'a [u8],
-    at: usize,
+impl From<OutOfBytes> for SnapshotError {
+    fn from(e: OutOfBytes) -> Self {
+        SnapshotError::Truncated {
+            need: e.need,
+            have: e.have,
+        }
+    }
 }
 
-impl<'a> Cur<'a> {
-    pub(crate) fn new(b: &'a [u8]) -> Self {
-        Self { b, at: 0 }
-    }
+/// A `u16`-length-prefixed UTF-8 string.
+pub(crate) fn read_key(c: &mut ByteCursor<'_>) -> Result<String, SnapshotError> {
+    let len = c.u16()? as usize;
+    let s = std::str::from_utf8(c.bytes(len)?).map_err(|_| SnapshotError::BadKey)?;
+    Ok(s.to_string())
+}
 
-    /// The next `n` bytes.
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let have = self.b.len() - self.at;
-        if have < n {
-            return Err(SnapshotError::Truncated { need: n, have });
-        }
-        let s = &self.b[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    pub(crate) fn take<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
-        Ok(self.bytes(N)?.try_into().expect("exactly N bytes"))
-    }
-
-    /// Reads a `u32` entry count and sanity-checks it against the bytes
-    /// actually remaining (each entry needs at least `min_entry` bytes),
-    /// so a hostile count cannot force a huge allocation.
-    pub(crate) fn count(&mut self, min_entry: usize) -> Result<usize, SnapshotError> {
-        let n = u32::from_le_bytes(self.take::<4>()?) as usize;
-        let have = self.b.len() - self.at;
-        if n.saturating_mul(min_entry) > have {
-            return Err(SnapshotError::Truncated {
-                need: n * min_entry,
-                have,
-            });
-        }
-        Ok(n)
-    }
-
-    /// A `u16`-length-prefixed UTF-8 string.
-    pub(crate) fn key(&mut self) -> Result<String, SnapshotError> {
-        let len = u16::from_le_bytes(self.take::<2>()?) as usize;
-        let s = std::str::from_utf8(self.bytes(len)?).map_err(|_| SnapshotError::BadKey)?;
-        Ok(s.to_string())
-    }
-
-    /// Rejects trailing bytes after a complete value.
-    pub(crate) fn finish(&self) -> Result<(), SnapshotError> {
-        match self.b.len() - self.at {
-            0 => Ok(()),
-            n => Err(SnapshotError::TrailingBytes(n)),
-        }
+/// Rejects trailing bytes after a complete value.
+pub(crate) fn finish(c: &ByteCursor<'_>) -> Result<(), SnapshotError> {
+    match c.remaining() {
+        0 => Ok(()),
+        n => Err(SnapshotError::TrailingBytes(n)),
     }
 }
 

@@ -45,7 +45,7 @@ pub enum Stage {
     BackendEval = 6,
     /// Results scattered back and the ticket completed.
     ScatterBack = 7,
-    /// Result frame written to the client socket (wire tier only).
+    /// Result frame handed to the client socket (wire tier only).
     WireWrite = 8,
 }
 

@@ -22,7 +22,7 @@ pub enum ServeError {
     /// The blocking [`crate::ServeHandle::submit`] waits for space
     /// instead of returning this.
     QueueFull,
-    /// An f32 job ([`crate::ServeHandle::submit_f32`]) named a function
+    /// An f32 job ([`crate::ServeHandle::submit`] of a `Vec<f32>`) named a function
     /// whose backend has no single-precision lane
     /// ([`flexsfu_backend::EvalBackend::lower_f32`] returned `None`).
     /// The job is rejected rather than silently round-tripped through

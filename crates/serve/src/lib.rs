@@ -69,8 +69,9 @@
 //!   breakpoint span and survives publishes, so an adaptive retuner can
 //!   compare live traffic against its tuning-time snapshot across
 //!   hot-swaps (see the `flexsfu-traffic` crate's drift detector).
-//! * **A single-precision job lane** — [`ServeHandle::submit_f32`]
-//!   serves `Vec<f32>` tensors end to end in f32: the packed flush
+//! * **A single-precision job lane** — [`ServeHandle::submit`] and its
+//!   siblings are generic over the sealed [`Precision`] (`f64` or
+//!   `f32`), and serve `Vec<f32>` tensors end to end in f32: the packed flush
 //!   buffer, the backend's f32 program
 //!   ([`flexsfu_backend::BackendProgram<f32>`], the eight-wide f32
 //!   kernels on the native backend) and the scattered results never
@@ -95,7 +96,8 @@
 //! let server = PwlServer::start(Arc::clone(&registry), ServeConfig::default());
 //! let handle = server.handle();
 //!
-//! let ticket = handle.submit(gelu, vec![-1.0, 0.0, 2.0])?;
+//! // The element type picks the lane: f64 here, `Vec<f32>` for f32.
+//! let ticket = handle.submit(gelu, vec![-1.0_f64, 0.0, 2.0])?;
 //! let ys = ticket.wait()?;
 //! assert_eq!(ys.len(), 3);
 //!
@@ -135,5 +137,6 @@ pub use obs::ServeObs;
 pub use plan::{FlushPlan, GroupPlan, JobSpan};
 pub use registry::{BackendStatsSnapshot, FunctionId, FunctionRegistry};
 pub use server::{
-    FlushPolicy, JobTicket, JobTicketF32, PwlServer, QueueDepth, ServeConfig, ServeHandle,
+    FlushPolicy, JobTicket, JobTicketF32, Precision, PwlServer, QueueDepth, ServeConfig,
+    ServeHandle,
 };

@@ -341,14 +341,8 @@ impl FunctionRegistry {
     /// is unregistered). Fixed by the backend binding at registration —
     /// publishes re-lower through the same backend, so the answer never
     /// changes over an entry's lifetime.
-    pub(crate) fn supports<T: Precision>(&self, id: FunctionId) -> Option<bool> {
+    pub fn supports<T: Precision>(&self, id: FunctionId) -> Option<bool> {
         self.read(id, |e| T::program(e).is_some())
-    }
-
-    /// Whether `id`'s backend can serve f32 jobs ([`None`] if `id` is
-    /// unregistered).
-    pub fn supports_f32(&self, id: FunctionId) -> Option<bool> {
-        self.supports::<f32>(id)
     }
 
     /// The current native **f32** engine for `id` — the direct-eval

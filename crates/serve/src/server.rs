@@ -192,43 +192,46 @@ pub(crate) struct Payload<T> {
     tx: oneshot::Sender<Vec<T>>,
 }
 
-impl JobData {
-    /// Element count — queue accounting and flush-policy triggers are
-    /// element-based regardless of precision.
-    fn len(&self) -> usize {
-        match self {
-            JobData::F64(p) => p.data.len(),
-            JobData::F32(p) => p.data.len(),
+/// A precision the server carries end to end, `f64` or `f32` (sealed):
+/// the bound of the generic [`ServeHandle::submit`] family. It ties the
+/// element type to its arm of the precision-tagged queue and to its
+/// backend program in the registry; admission, flush planning, packing,
+/// evaluation and scatter are written once over it.
+pub trait Precision: Element + sealed::Sealed {}
+
+impl Precision for f64 {}
+impl Precision for f32 {}
+
+// The hooks name crate-private types; the module is unnameable outside
+// the crate, so no other crate can reach them.
+#[allow(private_interfaces)]
+pub(crate) mod sealed {
+    use super::{Arc, BackendProgram, Entry, JobData, Payload};
+
+    /// The queue and registry hooks only this crate calls.
+    pub trait Sealed: Sized {
+        /// Tags a payload for the shared queue.
+        fn job(payload: Payload<Self>) -> JobData;
+        /// The entry's program in this precision, if its backend has one.
+        fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<Self>>>;
+    }
+
+    impl Sealed for f64 {
+        fn job(payload: Payload<f64>) -> JobData {
+            JobData::F64(payload)
+        }
+        fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram>> {
+            Some(&entry.bound.program)
         }
     }
-}
 
-/// A precision the server carries end to end: ties the element type to
-/// its arm of the precision-tagged queue enum and to its backend program
-/// in the registry. Everything else — admission, flush planning,
-/// packing, evaluation, scatter — is written once over it.
-pub(crate) trait Precision: Element {
-    /// Tags a payload for the shared queue.
-    fn job(payload: Payload<Self>) -> JobData;
-    /// The entry's program in this precision, if its backend has one.
-    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<Self>>>;
-}
-
-impl Precision for f64 {
-    fn job(payload: Payload<f64>) -> JobData {
-        JobData::F64(payload)
-    }
-    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram>> {
-        Some(&entry.bound.program)
-    }
-}
-
-impl Precision for f32 {
-    fn job(payload: Payload<f32>) -> JobData {
-        JobData::F32(payload)
-    }
-    fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<f32>>> {
-        entry.bound.program_f32.as_ref()
+    impl Sealed for f32 {
+        fn job(payload: Payload<f32>) -> JobData {
+            JobData::F32(payload)
+        }
+        fn program(entry: &Entry) -> Option<&Arc<dyn BackendProgram<f32>>> {
+            entry.bound.program_f32.as_ref()
+        }
     }
 }
 
@@ -310,8 +313,8 @@ pub struct ServeHandle {
     queue_elements: usize,
 }
 
-/// A pending result, f64 unless named ([`JobTicketF32`] for
-/// [`ServeHandle::submit_f32`]): block on [`JobTicket::wait`] or
+/// A pending result in the submitted precision (f64 by default): block
+/// on [`JobTicket::wait`] or
 /// `.await` it from any executor (the oneshot receiver stores the task's
 /// waker).
 pub struct JobTicket<T = f64> {
@@ -319,7 +322,7 @@ pub struct JobTicket<T = f64> {
     span: Option<Arc<SpanCell>>,
 }
 
-/// The single-precision ticket [`ServeHandle::submit_f32`] returns.
+/// The ticket of an f32 submit.
 pub type JobTicketF32 = JobTicket<f32>;
 
 impl<T> JobTicket<T> {
@@ -508,12 +511,25 @@ impl ServeHandle {
     /// on. Zero-length tensors are legal and complete with an empty
     /// result.
     ///
+    /// The job stays in its precision `T` end to end: an f32 tensor is
+    /// batched into an f32 flush buffer, evaluated through the backend's
+    /// f32 program (eight-wide f32 kernels on the native backend) and
+    /// scattered back as f32 — bit-identical to evaluating it directly
+    /// with [`FunctionRegistry::engine_f32`]. Jobs of both precisions
+    /// share a function's flush policy and pending-element accounting
+    /// but flush in separate units; a unit never mixes precisions.
+    ///
     /// # Errors
     ///
     /// [`ServeError::UnknownFunction`] if `func` was never registered,
-    /// [`ServeError::ShuttingDown`] if the server stopped admitting jobs
-    /// (including while blocked waiting for space).
-    pub fn submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
+    /// [`ServeError::PrecisionUnsupported`] if its backend has no lane
+    /// in `T`, [`ServeError::ShuttingDown`] if the server stopped
+    /// admitting jobs (including while blocked waiting for space).
+    pub fn submit<T: Precision>(
+        &self,
+        func: FunctionId,
+        data: Vec<T>,
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_lane(func, data, true, None)
     }
 
@@ -523,7 +539,11 @@ impl ServeHandle {
     /// # Errors
     ///
     /// As [`Self::submit`], plus [`ServeError::QueueFull`].
-    pub fn try_submit(&self, func: FunctionId, data: Vec<f64>) -> Result<JobTicket, ServeError> {
+    pub fn try_submit<T: Precision>(
+        &self,
+        func: FunctionId,
+        data: Vec<T>,
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_lane(func, data, false, None)
     }
 
@@ -538,59 +558,26 @@ impl ServeHandle {
     /// # Errors
     ///
     /// As [`Self::try_submit`].
-    pub fn try_submit_traced(
+    pub fn try_submit_traced<T: Precision>(
         &self,
         func: FunctionId,
-        data: Vec<f64>,
+        data: Vec<T>,
         trace: Option<u64>,
-    ) -> Result<JobTicket, ServeError> {
+    ) -> Result<JobTicket<T>, ServeError> {
         self.submit_lane(func, data, false, trace)
     }
 
-    /// Submits a **single-precision** job: the tensor is batched into an
-    /// f32 flush buffer, evaluated through the backend's f32 program
-    /// (eight-wide f32 kernels on the native backend), and scattered
-    /// back as f32 — bit-identical to evaluating the tensor directly
-    /// with the registry's [`FunctionRegistry::engine_f32`]. f32 and f64
-    /// jobs of one function share its flush policy and pending-element
-    /// accounting but always flush in separate units — a unit never
-    /// mixes precisions. Blocks for queue space like [`Self::submit`].
+    /// [`Self::try_submit`] for callers that name the f32 lane.
     ///
     /// # Errors
     ///
-    /// As [`Self::submit`], plus [`ServeError::PrecisionUnsupported`]
-    /// if the function's backend has no f32 lane.
-    pub fn submit_f32(&self, func: FunctionId, data: Vec<f32>) -> Result<JobTicketF32, ServeError> {
-        self.submit_lane(func, data, true, None)
-    }
-
-    /// Non-blocking [`Self::submit_f32`]: a full queue returns
-    /// [`ServeError::QueueFull`] instead of waiting.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f32`], plus [`ServeError::QueueFull`].
+    /// As [`Self::try_submit`].
     pub fn try_submit_f32(
         &self,
         func: FunctionId,
         data: Vec<f32>,
     ) -> Result<JobTicketF32, ServeError> {
-        self.submit_lane(func, data, false, None)
-    }
-
-    /// Non-blocking f32 submit carrying a propagated distributed-trace
-    /// id; see [`Self::try_submit_traced`] for the adoption contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::try_submit_f32`].
-    pub fn try_submit_f32_traced(
-        &self,
-        func: FunctionId,
-        data: Vec<f32>,
-        trace: Option<u64>,
-    ) -> Result<JobTicketF32, ServeError> {
-        self.submit_lane(func, data, false, trace)
+        self.try_submit(func, data)
     }
 
     /// The registry this handle's server evaluates through.
@@ -629,18 +616,20 @@ impl ServeHandle {
             Some(true) => {}
         }
         let (tx, rx) = oneshot::channel();
-        let span = self.enqueue(func, T::job(Payload { data, tx }), block, trace)?;
+        let len = data.len();
+        let span = self.enqueue(func, T::job(Payload { data, tx }), len, block, trace)?;
         Ok(JobTicket { rx, span })
     }
 
     /// The precision-agnostic admission path: bounds, backpressure and
-    /// pending-aggregate bookkeeping are element-based, so both
-    /// precisions share one queue and one set of flush triggers. Returns
-    /// the job's trace cell when the server sampled it.
+    /// pending-aggregate bookkeeping count the job's `len` elements, so
+    /// both precisions share one queue and one set of flush triggers.
+    /// Returns the job's trace cell when the server sampled it.
     fn enqueue(
         &self,
         func: FunctionId,
         data: JobData,
+        len: usize,
         block: bool,
         trace: Option<u64>,
     ) -> Result<Option<Arc<SpanCell>>, ServeError> {
@@ -666,7 +655,7 @@ impl ServeHandle {
             }
             // Admit when within the bound — or into an empty queue, so a
             // single job larger than the whole bound cannot wedge.
-            let fits = q.queued_elems == 0 || q.queued_elems + data.len() <= self.queue_elements;
+            let fits = q.queued_elems == 0 || q.queued_elems + len <= self.queue_elements;
             if fits && !forced_full {
                 break;
             }
@@ -696,8 +685,8 @@ impl ServeHandle {
             elems: 0,
             oldest: enqueued_ns.unwrap_or_else(|| self.shared.clock.now_ns()),
         });
-        pending.elems += data.len();
-        q.queued_elems += data.len();
+        pending.elems += len;
+        q.queued_elems += len;
         // Sampling decision under the queue lock: job ids are assigned
         // in admission order, so a sequential replay samples the same
         // jobs every run. A propagated trace id bypasses local sampling

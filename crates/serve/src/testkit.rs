@@ -23,7 +23,7 @@ use std::time::Duration;
 /// consumed by the server at a specific point:
 ///
 /// * **Forced `QueueFull`** — the next *n* non-blocking admissions
-///   ([`crate::ServeHandle::try_submit`] / `try_submit_f32`) bounce with
+///   ([`crate::ServeHandle::try_submit`], either precision) bounce with
 ///   [`crate::ServeError::QueueFull`] before touching the queue, exactly
 ///   as if the element bound were saturated (including raising the
 ///   one-shot pressure signal, so the retry path under test matches the

@@ -87,7 +87,7 @@ fn f32_results_bit_identical_to_direct_f32_eval() {
             .map(|f| CompiledPwlF32::from_compiled(&CompiledPwl::from_pwl(f)))
             .collect();
         for (&id, engine) in ids.iter().zip(&engines) {
-            assert_eq!(registry.supports_f32(id), Some(true));
+            assert_eq!(registry.supports::<f32>(id), Some(true));
             // The registry's f32 reference is the same table we compiled.
             assert_eq!(
                 registry.engine_f32(id).unwrap().engine().eval_one(0.37),
@@ -122,7 +122,11 @@ fn f32_results_bit_identical_to_direct_f32_eval() {
                         let len = (next() % 70) as usize; // includes 0
                         let xs = request_tensor_f32(&mut next, &functions[which], len);
                         let want = engines[which].eval_batch(&xs);
-                        let got = handle.submit_f32(ids[which], xs).unwrap().wait().unwrap();
+                        let got = handle
+                            .submit::<f32>(ids[which], xs)
+                            .unwrap()
+                            .wait()
+                            .unwrap();
                         assert_bits_eq_f32(&got, &want, &format!("client {c} request {r}"));
                     }
                 })
@@ -180,7 +184,7 @@ fn mixed_precision_traffic_stays_per_precision_exact() {
                 } else {
                     let xs = request_tensor_f32(&mut next, &pwl, len);
                     let want = engine32.eval_batch(&xs);
-                    tickets32.push((handle.submit_f32(id, xs).unwrap(), want));
+                    tickets32.push((handle.submit::<f32>(id, xs).unwrap(), want));
                 }
             }
             for (i, (t, want)) in tickets64.into_iter().enumerate() {
@@ -216,12 +220,12 @@ fn backend_without_f32_lane_rejects_at_admission() {
                 Arc::new(SfuBackend::fp16(16)),
             )
             .unwrap();
-        assert_eq!(registry.supports_f32(id), Some(false));
-        assert_eq!(registry.supports_f32(flexsfu_serve::FunctionId(9)), None);
+        assert_eq!(registry.supports::<f32>(id), Some(false));
+        assert_eq!(registry.supports::<f32>(flexsfu_serve::FunctionId(9)), None);
         let server = PwlServer::start(Arc::clone(&registry), ServeConfig::default());
         let handle = server.handle();
         assert_eq!(
-            handle.submit_f32(id, vec![0.5f32]).err(),
+            handle.submit::<f32>(id, vec![0.5f32]).err(),
             Some(ServeError::PrecisionUnsupported(id))
         );
         assert_eq!(
@@ -231,7 +235,7 @@ fn backend_without_f32_lane_rejects_at_admission() {
         // An unknown id still reports UnknownFunction, not precision.
         assert_eq!(
             handle
-                .submit_f32(flexsfu_serve::FunctionId(9), vec![0.5f32])
+                .submit::<f32>(flexsfu_serve::FunctionId(9), vec![0.5f32])
                 .err(),
             Some(ServeError::UnknownFunction(flexsfu_serve::FunctionId(9)))
         );
@@ -259,12 +263,20 @@ fn publish_swaps_the_f32_engine_with_the_f64_one() {
         let old32 = registry.engine_f32(id).unwrap();
         let xs: Vec<f32> = (0..64).map(|i| i as f32 * 0.2 - 6.0).collect();
         let want_old = CompiledPwlF32::from_compiled(&CompiledPwl::from_pwl(&gelu)).eval_batch(&xs);
-        let got = handle.submit_f32(id, xs.clone()).unwrap().wait().unwrap();
+        let got = handle
+            .submit::<f32>(id, xs.clone())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_bits_eq_f32(&got, &want_old, "pre-publish");
 
         registry.publish(id, CompiledPwl::from_pwl(&tanh)).unwrap();
         let want_new = CompiledPwlF32::from_compiled(&CompiledPwl::from_pwl(&tanh)).eval_batch(&xs);
-        let got = handle.submit_f32(id, xs.clone()).unwrap().wait().unwrap();
+        let got = handle
+            .submit::<f32>(id, xs.clone())
+            .unwrap()
+            .wait()
+            .unwrap();
         assert_bits_eq_f32(&got, &want_new, "post-publish");
         // The pre-publish snapshot still evaluates the old table.
         assert_bits_eq_f32(&old32.eval_batch(&xs), &want_old, "snapshot");
@@ -291,7 +303,7 @@ fn f32_future_interface_and_shutdown_drain() {
 
         let xs = vec![-2.0f32, 0.5, f32::NAN, 3.0];
         let want = engine.eval_batch(&xs);
-        let mut ticket = handle.submit_f32(id, xs).unwrap();
+        let mut ticket = handle.submit::<f32>(id, xs).unwrap();
         let waker = noop_waker();
         let mut cx = Context::from_waker(&waker);
         let got = loop {
@@ -315,11 +327,11 @@ fn f32_future_interface_and_shutdown_drain() {
             .unwrap();
         let xs = vec![1.0f32, -1.0];
         let want = engine.eval_batch(&xs);
-        let ticket = handle.submit_f32(id, xs).unwrap();
+        let ticket = handle.submit::<f32>(id, xs).unwrap();
         server.shutdown();
         assert_bits_eq_f32(&ticket.wait().unwrap(), &want, "drained at shutdown");
         assert_eq!(
-            handle.submit_f32(id, vec![0.0f32]).err(),
+            handle.submit::<f32>(id, vec![0.0f32]).err(),
             Some(ServeError::ShuttingDown)
         );
     });

@@ -893,7 +893,7 @@ fn busy_worker_coalesces_pending_f32_jobs_into_one_flush() {
                             .map(|x| x as f32)
                             .collect();
                     let want = engine.eval_batch(&data);
-                    (handle.submit_f32(id, data).unwrap(), want)
+                    (handle.submit::<f32>(id, data).unwrap(), want)
                 },
                 |ticket, want: Vec<f32>, ctx| {
                     let got = ticket.wait().unwrap();

@@ -4,6 +4,8 @@
 //! spreads functions across N in-process [`flexsfu_wire::WireServer`]
 //! stacks, health-checks them over the wire itself, and hands traffic
 //! off a draining shard without losing a single accepted job.
+//! Requests go through one generic [`ShardRouter::eval`], in either
+//! precision of [`flexsfu_wire::WireElement`] (`f64` or `f32`).
 //!
 //! Routing is `hash(function id) % shards` with an explicit override
 //! map for pinning; an unhealthy preferred shard fails over to the next
@@ -46,14 +48,14 @@
 //! })?;
 //!
 //! let gelu = FunctionId(0);
-//! let ys = router.eval_f64(gelu, &[-1.0, 0.0, 2.0])?;
+//! let ys = router.eval(gelu, &[-1.0, 0.0, 2.0])?;
 //! assert_eq!(ys.len(), 3);
 //!
 //! // Drain one shard; traffic keeps flowing on the other.
 //! let idx = router.route(gelu)?;
 //! assert!(router.drain_shard(idx, Duration::from_secs(5))?);
 //! router.stop_shard(idx)?;
-//! let ys2 = router.eval_f64(gelu, &[-1.0, 0.0, 2.0])?;
+//! let ys2 = router.eval(gelu, &[-1.0, 0.0, 2.0])?;
 //! assert_eq!(ys.len(), ys2.len());
 //! router.shutdown();
 //! # Ok::<(), Box<dyn std::error::Error>>(())

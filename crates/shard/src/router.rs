@@ -22,7 +22,7 @@ use flexsfu_obs::{
     SampleRate, SpanRecorder, Stage, TraceAssembler,
 };
 use flexsfu_serve::{FunctionId, FunctionRegistry, PwlServer, ServeConfig, ServeObs};
-use flexsfu_wire::{WireClient, WireConfig, WireError, WireServer};
+use flexsfu_wire::{WireClient, WireConfig, WireElement, WireError, WireServer, WireTicket};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -460,39 +460,10 @@ impl ShardRouter {
             .ok_or(RouterError::NoHealthyShard)
     }
 
-    /// Evaluates an f64 tensor through the deployment: route, submit,
-    /// wait — retrying through backoff hints and failing over past
-    /// draining or dead shards, within the configured attempt budget.
-    ///
-    /// # Errors
-    ///
-    /// See [`RouterError`].
-    pub fn eval_f64(&self, func: FunctionId, data: &[f64]) -> Result<Vec<f64>, RouterError> {
-        self.eval_with(func, |shard, trace| {
-            shard
-                .client
-                .submit_f64_traced(func.0, data.to_vec(), trace)
-                .and_then(flexsfu_wire::WireTicket::wait)
-        })
-    }
-
-    /// Evaluates an f32 tensor through the deployment's f32 lane.
-    ///
-    /// # Errors
-    ///
-    /// See [`RouterError`]; a shard whose backend lacks an f32 lane
-    /// yields `Rejected(PrecisionUnsupported)` (identical registration
-    /// means every shard would answer the same).
-    pub fn eval_f32(&self, func: FunctionId, data: &[f32]) -> Result<Vec<f32>, RouterError> {
-        self.eval_with(func, |shard, trace| {
-            shard
-                .client
-                .submit_f32_traced(func.0, data.to_vec(), trace)
-                .and_then(flexsfu_wire::WireTicketF32::wait)
-        })
-    }
-
-    /// The shared retry/failover loop around one submit-and-wait shape.
+    /// Evaluates a tensor (f64 or f32) through the deployment: route,
+    /// submit, wait — retrying through backoff hints and failing over
+    /// past draining or dead shards, within the configured attempt
+    /// budget.
     ///
     /// Observed deployments sample a distributed trace here
     /// ([`SpanRecorder::start_trace`]): the router's span stamps
@@ -501,11 +472,17 @@ impl ShardRouter {
     /// stamp is the attempt that produced the answer) and
     /// [`Stage::Retry`] per retry decision — and the minted id rides
     /// the submit frame so the serving shard's span joins the trace.
-    fn eval_with<T>(
+    ///
+    /// # Errors
+    ///
+    /// See [`RouterError`]; a shard whose backend lacks a lane in `T`
+    /// yields `Rejected(PrecisionUnsupported)` (identical registration
+    /// means every shard would answer the same).
+    pub fn eval<T: WireElement>(
         &self,
         func: FunctionId,
-        attempt_on: impl Fn(&Shard, Option<u64>) -> Result<T, WireError>,
-    ) -> Result<T, RouterError> {
+        data: &[T],
+    ) -> Result<Vec<T>, RouterError> {
         let cell = self.obs.as_ref().and_then(|o| o.spans.start_trace(func.0));
         let trace = cell.as_ref().and_then(|c| c.trace());
         let stamp = |stage: Stage| {
@@ -521,7 +498,11 @@ impl ShardRouter {
                 stamp(Stage::RouteSelect);
             }
             stamp(Stage::WireSubmit);
-            match attempt_on(shard, trace) {
+            let attempt = shard
+                .client
+                .submit_traced(func.0, data.to_vec(), trace)
+                .and_then(WireTicket::wait);
+            match attempt {
                 Ok(v) => return Ok(v),
                 Err(e) if !e.is_retryable() => return Err(RouterError::Rejected(e)),
                 Err(e) => {

@@ -81,7 +81,7 @@ fn routed_request_assembles_one_consistent_cross_process_trace() {
             for round in 0..3u64 {
                 clock.set(1000 * (round + 1));
                 let ys = router
-                    .eval_f64(FunctionId(0), &[0.25; 16])
+                    .eval(FunctionId(0), &[0.25; 16])
                     .expect("routed eval");
                 assert_eq!(ys.len(), 16);
                 settle_traces(&router, round as usize + 1);
@@ -125,7 +125,7 @@ fn routed_request_assembles_one_consistent_cross_process_trace() {
             // The f32 lane joins traces the same way.
             clock.set(5000);
             let ys = router
-                .eval_f32(FunctionId(1), &[0.5f32; 8])
+                .eval::<f32>(FunctionId(1), &[0.5f32; 8])
                 .expect("f32 eval");
             assert_eq!(ys.len(), 8);
             let traces = settle_traces(&router, 4);
@@ -171,7 +171,7 @@ fn failover_keeps_the_trace_consistent_and_stamps_retry() {
             }
 
             let ys = router
-                .eval_f64(FunctionId(0), &[1.0; 8])
+                .eval(FunctionId(0), &[1.0; 8])
                 .expect("failover eval");
             assert_eq!(ys.len(), 8);
 
@@ -230,9 +230,7 @@ fn replayed_deployments_assemble_bit_identical_traces() {
                 for round in 0..4u64 {
                     clock.set(500 * (round + 1));
                     let func = FunctionId((round % 2) as u32);
-                    router
-                        .eval_f64(func, &[0.1 * round as f64; 8])
-                        .expect("eval");
+                    router.eval(func, &[0.1 * round as f64; 8]).expect("eval");
                     settle_traces(&router, round as usize + 1);
                 }
                 let traces = settle_traces(&router, 4);

@@ -49,14 +49,14 @@ fn scrape_all_equals_labeled_merge_of_shard_snapshots() {
                 let x = vec![0.1 * i as f64; 32];
                 assert_eq!(
                     router
-                        .eval_f64(flexsfu_serve::FunctionId(0), &x)
+                        .eval(flexsfu_serve::FunctionId(0), &x)
                         .expect("gelu")
                         .len(),
                     32
                 );
                 assert_eq!(
                     router
-                        .eval_f64(flexsfu_serve::FunctionId(1), &x)
+                        .eval(flexsfu_serve::FunctionId(1), &x)
                         .expect("sigmoid")
                         .len(),
                     32
@@ -82,7 +82,7 @@ fn scrape_all_equals_labeled_merge_of_shard_snapshots() {
                 std::thread::sleep(Duration::from_millis(2));
             }
             let ys = router
-                .eval_f64(flexsfu_serve::FunctionId(0), &[0.5; 8])
+                .eval(flexsfu_serve::FunctionId(0), &[0.5; 8])
                 .expect("failover eval");
             assert_eq!(ys.len(), 8);
             assert_eq!(router.shard_state(0).unwrap(), ShardState::Draining);
@@ -158,7 +158,7 @@ fn unobserved_deployment_scrapes_empty() {
         .expect("deploy");
         assert_eq!(
             router
-                .eval_f64(flexsfu_serve::FunctionId(0), &[1.0; 4])
+                .eval(flexsfu_serve::FunctionId(0), &[1.0; 4])
                 .expect("eval")
                 .len(),
             4

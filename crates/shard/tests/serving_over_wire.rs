@@ -106,7 +106,7 @@ fn serving_over_wire() {
                             let len = 1 + (next() % 64) as usize;
                             let xs = request_tensor(&mut next, len);
                             let ys = router
-                                .eval_f64(func, &xs)
+                                .eval(func, &xs)
                                 .unwrap_or_else(|e| panic!("client {c} req {r}: {e}"));
                             let want = references[func.0 as usize].eval_batch(&xs);
                             assert_eq!(ys.len(), want.len());
@@ -222,7 +222,7 @@ fn f32_jobs_route_and_survive_drain() {
                 let xs: Vec<f32> = (0..33)
                     .map(|_| (next() % 160) as f32 / 10.0 - 8.0)
                     .collect();
-                let ys = router.eval_f32(FunctionId(f), &xs).unwrap();
+                let ys = router.eval::<f32>(FunctionId(f), &xs).unwrap();
                 let want = references[f as usize].eval_batch(&xs);
                 for (a, b) in ys.iter().zip(&want) {
                     assert_eq!(a.to_bits(), b.to_bits(), "f32 divergence through router");
@@ -247,7 +247,7 @@ fn non_retryable_rejections_are_typed_and_immediate() {
         "non_retryable_rejections_are_typed_and_immediate",
         || {
             let router = ShardRouter::deploy(2, quick_router_config(), register_all).unwrap();
-            match router.eval_f64(FunctionId(99), &[0.5]) {
+            match router.eval(FunctionId(99), &[0.5]) {
                 Err(RouterError::Rejected(WireError::UnknownFunction(99))) => {}
                 other => panic!("expected UnknownFunction(99), got {other:?}"),
             }
@@ -265,8 +265,8 @@ fn non_retryable_rejections_are_typed_and_immediate() {
                     .unwrap();
             })
             .unwrap();
-            assert_eq!(router.eval_f64(FunctionId(0), &[0.5]).unwrap().len(), 1);
-            match router.eval_f32(FunctionId(0), &[0.5f32]) {
+            assert_eq!(router.eval(FunctionId(0), &[0.5]).unwrap().len(), 1);
+            match router.eval::<f32>(FunctionId(0), &[0.5f32]) {
                 Err(RouterError::Rejected(WireError::PrecisionUnsupported(0))) => {}
                 other => panic!("expected PrecisionUnsupported(0), got {other:?}"),
             }
@@ -300,7 +300,7 @@ fn retry_hints_carry_a_burst_through_a_tiny_queue() {
                         for _ in 0..40 {
                             let func = FunctionId((next() % 3) as u32);
                             let xs = request_tensor(&mut next, 32);
-                            let ys = router.eval_f64(func, &xs).expect("burst request failed");
+                            let ys = router.eval(func, &xs).expect("burst request failed");
                             let want = references[func.0 as usize].eval_batch(&xs);
                             assert!(ys
                                 .iter()
@@ -328,7 +328,7 @@ fn overrides_pin_functions_but_still_fail_over() {
         assert!(router.drain_shard(1, Duration::from_secs(30)).unwrap());
         router.stop_shard(1).unwrap();
         assert_eq!(router.route(FunctionId(0)).unwrap(), 0);
-        assert_eq!(router.eval_f64(FunctionId(0), &[0.5]).unwrap().len(), 1);
+        assert_eq!(router.eval(FunctionId(0), &[0.5]).unwrap().len(), 1);
         router.shutdown();
     });
 }

@@ -80,8 +80,8 @@ fn collector_death_mid_traffic_is_loss_free_and_counted() {
             // arrives pushed, nobody scrapes anything.
             for i in 0..30 {
                 let x = vec![0.05 * i as f64; 16];
-                assert_eq!(router.eval_f64(FunctionId(0), &x).expect("gelu").len(), 16);
-                assert_eq!(router.eval_f64(FunctionId(1), &x).expect("tanh").len(), 16);
+                assert_eq!(router.eval(FunctionId(0), &x).expect("gelu").len(), 16);
+                assert_eq!(router.eval(FunctionId(1), &x).expect("tanh").len(), 16);
             }
             let deadline = Instant::now() + Duration::from_secs(10);
             loop {
@@ -126,7 +126,7 @@ fn collector_death_mid_traffic_is_loss_free_and_counted() {
                 let x = vec![0.03 * i as f64; 16];
                 assert_eq!(
                     router
-                        .eval_f64(FunctionId(0), &x)
+                        .eval(FunctionId(0), &x)
                         .expect("gelu after kill")
                         .len(),
                     16,
@@ -134,7 +134,7 @@ fn collector_death_mid_traffic_is_loss_free_and_counted() {
                 );
                 assert_eq!(
                     router
-                        .eval_f64(FunctionId(1), &x)
+                        .eval(FunctionId(1), &x)
                         .expect("tanh after kill")
                         .len(),
                     16

@@ -18,6 +18,7 @@
 //! garbage — yields a typed [`TraceError`], never a panic.
 
 use crate::clock::VirtualNs;
+use flexsfu_obs::{ByteCursor, OutOfBytes};
 
 /// File magic, `b"FXTR"`.
 pub const TRACE_MAGIC: [u8; 4] = *b"FXTR";
@@ -126,33 +127,12 @@ impl std::fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-/// Bounds-checked little-endian reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
-        let have = self.buf.len() - self.pos;
-        if have < n {
-            return Err(TraceError::Truncated { needed: n, have });
+impl From<OutOfBytes> for TraceError {
+    fn from(e: OutOfBytes) -> Self {
+        TraceError::Truncated {
+            needed: e.need,
+            have: e.have,
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u16(&mut self) -> Result<u16, TraceError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, TraceError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, TraceError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
@@ -195,8 +175,8 @@ impl Trace {
     /// input never panics and never allocates more than the declared,
     /// capped sizes.
     pub fn decode(bytes: &[u8]) -> Result<Self, TraceError> {
-        let mut r = Reader { buf: bytes, pos: 0 };
-        let magic: [u8; 4] = r.take(4)?.try_into().unwrap();
+        let mut r = ByteCursor::new(bytes);
+        let magic = r.array::<4>()?;
         if magic != TRACE_MAGIC {
             return Err(TraceError::BadMagic(magic));
         }
@@ -208,7 +188,7 @@ impl Trace {
         let mut functions = Vec::new();
         for index in 0..nfuncs as usize {
             let len = r.u16()? as usize;
-            let raw = r.take(len)?;
+            let raw = r.bytes(len)?;
             let name =
                 std::str::from_utf8(raw).map_err(|_| TraceError::BadFunctionName { index })?;
             functions.push(name.to_string());
@@ -238,7 +218,7 @@ impl Trace {
             if len > MAX_EVENT_ELEMS {
                 return Err(TraceError::OversizedPayload { index, elems: len });
             }
-            let raw = r.take(8 * len as usize)?;
+            let raw = r.bytes(8 * len as usize)?;
             let payload: Vec<f64> = raw
                 .chunks_exact(8)
                 .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
@@ -249,8 +229,8 @@ impl Trace {
                 payload,
             });
         }
-        if r.pos != bytes.len() {
-            return Err(TraceError::TrailingBytes(bytes.len() - r.pos));
+        if r.remaining() != 0 {
+            return Err(TraceError::TrailingBytes(r.remaining()));
         }
         Ok(Self { functions, events })
     }

@@ -595,7 +595,7 @@ fn sharded_replay(trace_bytes: &[u8]) -> (Vec<AssembledTrace>, Vec<TelemetryBatc
         clock.set(1_000_000 * (round as u64 + 1));
         for e in chunk {
             let ys = router
-                .eval_f64(ids[e.func as usize], &e.payload)
+                .eval(ids[e.func as usize], &e.payload)
                 .expect("routed replay lost a job");
             for y in ys {
                 checksum ^= y.to_bits();

@@ -1,8 +1,8 @@
 //! The multiplexing wire client: one TCP connection, many in-flight
 //! requests, responses matched back by request id.
 //!
-//! [`WireClient::submit_f64`]/[`WireClient::submit_f32`] return
-//! immediately with a [`WireTicket`]/[`WireTicketF32`]; a background
+//! [`WireClient::submit`] returns immediately with a [`WireTicket`] in
+//! the submitted precision; a background
 //! reader thread completes tickets as `Ack`/`Result`/`Error` frames
 //! arrive — in whatever order the server finishes them. The ack is
 //! tracked separately from the result ([`WireTicket::was_acked`]): a
@@ -11,7 +11,7 @@
 //! unacked job can be resubmitted elsewhere without double-serving).
 
 use crate::error::WireError;
-use crate::frame::{Frame, FrameReader};
+use crate::frame::{Frame, FrameReader, WireElement};
 use flexsfu_obs::MetricsSnapshot;
 use flexsfu_serve::oneshot;
 use std::collections::HashMap;
@@ -22,61 +22,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-/// A precision the wire carries: ties the element type to its submit and
-/// result frame variants, so the client's submits and tickets and the
-/// server's reply path are written once for both. Sealed: the trait is
-/// public only so it can bound [`WireTicket`]'s methods, and this module
-/// is private, so no other crate can name or implement it.
-pub trait WireElement: Sized + Send + 'static {
-    /// The submit frame carrying `data`.
-    fn submit(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame;
-    /// The result frame carrying `data`.
-    fn result(req: u64, data: Vec<Self>) -> Frame;
-    /// The payload of a result frame of this precision, or `None` for
-    /// the other one.
-    fn payload(frame: Frame) -> Option<Vec<Self>>;
-}
-
-impl WireElement for f64 {
-    fn submit(req: u64, func: u32, data: Vec<f64>, trace: Option<u64>) -> Frame {
-        Frame::SubmitF64 {
-            req,
-            func,
-            data,
-            trace,
-        }
-    }
-    fn result(req: u64, data: Vec<f64>) -> Frame {
-        Frame::ResultF64 { req, data }
-    }
-    fn payload(frame: Frame) -> Option<Vec<f64>> {
-        match frame {
-            Frame::ResultF64 { data, .. } => Some(data),
-            _ => None,
-        }
-    }
-}
-
-impl WireElement for f32 {
-    fn submit(req: u64, func: u32, data: Vec<f32>, trace: Option<u64>) -> Frame {
-        Frame::SubmitF32 {
-            req,
-            func,
-            data,
-            trace,
-        }
-    }
-    fn result(req: u64, data: Vec<f32>) -> Frame {
-        Frame::ResultF32 { req, data }
-    }
-    fn payload(frame: Frame) -> Option<Vec<f32>> {
-        match frame {
-            Frame::ResultF32 { data, .. } => Some(data),
-            _ => None,
-        }
-    }
-}
 
 /// A completed job: its result frame (either precision) or the typed
 /// error that answered it.
@@ -188,18 +133,22 @@ impl WireClient {
         self.shared.closed.load(Ordering::SeqCst)
     }
 
-    /// Submits an f64 tensor for `func` and returns its ticket.
+    /// Submits a tensor (f64 or f32) for `func` and returns its ticket.
     ///
     /// # Errors
     ///
     /// [`WireError::ConnectionClosed`] or [`WireError::Io`] if the
     /// frame cannot be written; server-side rejections (unknown
     /// function, `RetryAfter`, draining…) surface on the *ticket*.
-    pub fn submit_f64(&self, func: u32, data: Vec<f64>) -> Result<WireTicket, WireError> {
-        self.submit_f64_traced(func, data, None)
+    pub fn submit<T: WireElement>(
+        &self,
+        func: u32,
+        data: Vec<T>,
+    ) -> Result<WireTicket<T>, WireError> {
+        self.submit_traced(func, data, None)
     }
 
-    /// Submits an f64 tensor carrying an optional distributed trace id.
+    /// Submits a tensor carrying an optional distributed trace id.
     ///
     /// With `trace == None` the emitted frame is byte-identical to the
     /// legacy (v1) submit, so untraced traffic interoperates with old
@@ -210,42 +159,8 @@ impl WireClient {
     ///
     /// # Errors
     ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f64_traced(
-        &self,
-        func: u32,
-        data: Vec<f64>,
-        trace: Option<u64>,
-    ) -> Result<WireTicket, WireError> {
-        self.submit(func, data, trace)
-    }
-
-    /// Submits an f32 tensor for `func` and returns its ticket.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f32(&self, func: u32, data: Vec<f32>) -> Result<WireTicketF32, WireError> {
-        self.submit_f32_traced(func, data, None)
-    }
-
-    /// Submits an f32 tensor carrying an optional distributed trace id;
-    /// see [`Self::submit_f64_traced`] for the interop contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit_f64`].
-    pub fn submit_f32_traced(
-        &self,
-        func: u32,
-        data: Vec<f32>,
-        trace: Option<u64>,
-    ) -> Result<WireTicketF32, WireError> {
-        self.submit(func, data, trace)
-    }
-
-    /// Writes a submit of either precision and parks its ticket.
-    fn submit<T: WireElement>(
+    /// As [`Self::submit`].
+    pub fn submit_traced<T: WireElement>(
         &self,
         func: u32,
         data: Vec<T>,
@@ -258,6 +173,24 @@ impl WireClient {
             acked,
             elem: PhantomData,
         })
+    }
+
+    /// [`Self::submit`] for callers that name the f64 lane.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::submit`].
+    pub fn submit_f64(&self, func: u32, data: Vec<f64>) -> Result<WireTicket, WireError> {
+        self.submit(func, data)
+    }
+
+    /// [`Self::submit`] for callers that name the f32 lane.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::submit`].
+    pub fn submit_f32(&self, func: u32, data: Vec<f32>) -> Result<WireTicketF32, WireError> {
+        self.submit(func, data)
     }
 
     /// Health-checks the server: sends a ping and waits up to `timeout`

@@ -236,8 +236,9 @@ impl Outbox {
 
 /// Serialized writes over one connection. Outbound telemetry (writes,
 /// frames, bytes, per-code errors) is counted here, at the single choke
-/// point every reply funnels through, and only for writes that
-/// succeeded.
+/// point every reply funnels through, as each write is handed to the
+/// socket: before the bytes go out, so a peer that has read a reply and
+/// then scrapes finds it counted. A write that then fails still counts.
 pub(crate) struct ConnWriter {
     stream: Mutex<TcpStream>,
     obs: Option<Arc<WireObsState>>,
@@ -252,14 +253,14 @@ impl ConnWriter {
         if out.frames == 0 {
             return Ok(());
         }
+        if let Some(o) = &self.obs {
+            o.count_write(out.frames, out.bytes.len(), &out.errors);
+        }
         let written = self
             .stream
             .lock()
             .expect("no writer panics while holding the stream")
             .write_all(&out.bytes);
-        if let (Ok(()), Some(o)) = (&written, &self.obs) {
-            o.count_write(out.frames, out.bytes.len(), &out.errors);
-        }
         out.bytes.clear();
         out.frames = 0;
         out.errors.clear();

@@ -28,6 +28,9 @@
 //! arbitrary chunking of the byte stream (the codec property suite
 //! feeds it one byte at a time).
 
+use flexsfu_obs::ByteCursor;
+use flexsfu_serve::Precision;
+
 /// Hard cap on a frame's payload (kind byte + body): 16 MiB. Large
 /// enough for a 2M-element f64 tensor per request; small enough that a
 /// garbage length prefix cannot commit meaningful memory.
@@ -278,40 +281,136 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Little-endian field readers; `None` = not enough bytes.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A precision the wire carries, `f64` or `f32` (sealed): its element
+/// codec and its Submit/Result variants, so the frame codec, the
+/// client's submits and tickets and the server's reply path are each
+/// written once for both. Every wire element is a serving
+/// [`Precision`], so the server hands a tensor to serving as it
+/// arrived.
+pub trait WireElement: Precision + sealed::Sealed {}
+
+pub(crate) mod sealed {
+    use super::Frame;
+
+    /// The element operations only this crate needs.
+    pub trait Sealed: Sized {
+        /// Bytes per element on the wire.
+        const WIDTH: usize;
+        /// Appends the element's IEEE-754 bit pattern, little-endian.
+        fn put(self, out: &mut Vec<u8>);
+        /// The element from exactly [`Self::WIDTH`] little-endian bytes.
+        fn get(bytes: &[u8]) -> Self;
+        /// The submit frame carrying `data`.
+        fn submit(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame;
+        /// The result frame carrying `data`.
+        fn result(req: u64, data: Vec<Self>) -> Frame;
+        /// The payload of a result frame of this precision, or `None`
+        /// for the other one.
+        fn payload(frame: Frame) -> Option<Vec<Self>>;
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
-    }
+macro_rules! wire_element {
+    ($t:ty, $bits:ty, $submit:ident, $result:ident) => {
+        impl WireElement for $t {}
 
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
+        impl sealed::Sealed for $t {
+            const WIDTH: usize = std::mem::size_of::<$t>();
+            fn put(self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_bits().to_le_bytes());
+            }
+            fn get(bytes: &[u8]) -> Self {
+                <$t>::from_bits(<$bits>::from_le_bytes(bytes.try_into().unwrap()))
+            }
+            fn submit(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame {
+                Frame::$submit {
+                    req,
+                    func,
+                    data,
+                    trace,
+                }
+            }
+            fn result(req: u64, data: Vec<Self>) -> Frame {
+                Frame::$result { req, data }
+            }
+            fn payload(frame: Frame) -> Option<Vec<Self>> {
+                match frame {
+                    Frame::$result { data, .. } => Some(data),
+                    _ => None,
+                }
+            }
+        }
+    };
+}
 
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let s = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(s)
-    }
+wire_element!(f64, u64, SubmitF64, ResultF64);
+wire_element!(f32, u32, SubmitF32, ResultF32);
 
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
+/// Appends a tensor: its `u32` element count, then every element.
+fn put_tensor<T: WireElement>(out: &mut Vec<u8>, data: &[T]) {
+    put_u32(out, u32::try_from(data.len()).expect("tensor fits u32"));
+    for &v in data {
+        v.put(out);
     }
+}
 
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+/// Appends a Submit payload of either precision.
+fn put_submit<T: WireElement>(
+    out: &mut Vec<u8>,
+    kind: u8,
+    req: u64,
+    func: u32,
+    data: &[T],
+    trace: Option<u64>,
+) {
+    out.push(kind);
+    put_u64(out, req);
+    put_u32(out, func);
+    put_tensor(out, data);
+    if let Some(id) = trace {
+        put_u64(out, id);
     }
+}
 
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
+/// Appends a Result payload of either precision.
+fn put_result<T: WireElement>(out: &mut Vec<u8>, kind: u8, req: u64, data: &[T]) {
+    out.push(kind);
+    put_u64(out, req);
+    put_tensor(out, data);
+}
+
+/// Reads `count` elements.
+fn get_tensor<T: WireElement>(c: &mut ByteCursor<'_>, count: usize) -> Option<Vec<T>> {
+    let raw = c.bytes(count * T::WIDTH).ok()?;
+    Some(raw.chunks_exact(T::WIDTH).map(T::get).collect())
+}
+
+/// Decodes a Submit body of either precision; `Err` holds the body
+/// bytes the first missing field needed.
+fn get_submit<T: WireElement>(c: &mut ByteCursor<'_>) -> Result<Frame, usize> {
+    let (Ok(req), Ok(func), Ok(count)) = (c.u64(), c.u32(), c.u32()) else {
+        return Err(16);
+    };
+    let body = 16 + count as usize * T::WIDTH;
+    let data = get_tensor(c, count as usize).ok_or(body)?;
+    // Version tolerance (the `Pong` tail pattern): a v1 peer's submit
+    // body ends at the tensor; a tracing peer appends one u64 trace id.
+    // A torn tail is still truncated, surplus bytes still a desync.
+    let trace = match c.remaining() {
+        0 => None,
+        _ => Some(c.u64().map_err(|_| body + 8)?),
+    };
+    Ok(T::submit(req, func, data, trace))
+}
+
+/// Decodes a Result body of either precision; `Err` as for
+/// [`get_submit`].
+fn get_result<T: WireElement>(c: &mut ByteCursor<'_>) -> Result<Frame, usize> {
+    let (Ok(req), Ok(count)) = (c.u64(), c.u32()) else {
+        return Err(12);
+    };
+    let data = get_tensor(c, count as usize).ok_or(12 + count as usize * T::WIDTH)?;
+    Ok(T::result(req, data))
 }
 
 impl Frame {
@@ -331,35 +430,13 @@ impl Frame {
                 func,
                 data,
                 trace,
-            } => {
-                out.push(kind::SUBMIT_F64);
-                put_u64(out, *req);
-                put_u32(out, *func);
-                put_u32(out, u32::try_from(data.len()).expect("tensor fits u32"));
-                for v in data {
-                    put_u64(out, v.to_bits());
-                }
-                if let Some(id) = trace {
-                    put_u64(out, *id);
-                }
-            }
+            } => put_submit(out, kind::SUBMIT_F64, *req, *func, data, *trace),
             Self::SubmitF32 {
                 req,
                 func,
                 data,
                 trace,
-            } => {
-                out.push(kind::SUBMIT_F32);
-                put_u64(out, *req);
-                put_u32(out, *func);
-                put_u32(out, u32::try_from(data.len()).expect("tensor fits u32"));
-                for v in data {
-                    put_u32(out, v.to_bits());
-                }
-                if let Some(id) = trace {
-                    put_u64(out, *id);
-                }
-            }
+            } => put_submit(out, kind::SUBMIT_F32, *req, *func, data, *trace),
             Self::Ping { nonce } => {
                 out.push(kind::PING);
                 put_u64(out, *nonce);
@@ -369,22 +446,8 @@ impl Frame {
                 out.push(kind::ACK);
                 put_u64(out, *req);
             }
-            Self::ResultF64 { req, data } => {
-                out.push(kind::RESULT_F64);
-                put_u64(out, *req);
-                put_u32(out, u32::try_from(data.len()).expect("tensor fits u32"));
-                for v in data {
-                    put_u64(out, v.to_bits());
-                }
-            }
-            Self::ResultF32 { req, data } => {
-                out.push(kind::RESULT_F32);
-                put_u64(out, *req);
-                put_u32(out, u32::try_from(data.len()).expect("tensor fits u32"));
-                for v in data {
-                    put_u32(out, v.to_bits());
-                }
-            }
+            Self::ResultF64 { req, data } => put_result(out, kind::RESULT_F64, *req, data),
+            Self::ResultF32 { req, data } => put_result(out, kind::RESULT_F32, *req, data),
             Self::Error { req, code, detail } => {
                 out.push(kind::ERROR);
                 put_u64(out, *req);
@@ -447,115 +510,45 @@ impl Frame {
     /// element counts disagreeing with the byte count, unknown kinds,
     /// unassigned error codes. Never panics.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, FrameError> {
-        let mut c = Cursor::new(payload);
-        let Some(k) = c.u8() else {
+        let mut c = ByteCursor::new(payload);
+        let Ok(k) = c.u8() else {
             return Err(FrameError::EmptyPayload);
         };
-        let truncated = |c: &Cursor<'_>, need: usize| FrameError::Truncated {
+        let truncated = |need: usize| FrameError::Truncated {
             kind: k,
             need: need + 1, // + the kind byte, so the message names payload bytes
-            got: c.buf.len(),
+            got: payload.len(),
         };
         let frame = match k {
-            kind::SUBMIT_F64 | kind::SUBMIT_F32 => {
-                let (Some(req), Some(func), Some(count)) = (c.u64(), c.u32(), c.u32()) else {
-                    return Err(truncated(&c, 16));
-                };
-                let count = count as usize;
-                let elem = if k == kind::SUBMIT_F64 { 8 } else { 4 };
-                if c.remaining() < count * elem {
-                    return Err(truncated(&c, 16 + count * elem));
-                }
-                let data64;
-                let data32;
-                if k == kind::SUBMIT_F64 {
-                    data64 = Some(
-                        (0..count)
-                            .map(|_| f64::from_bits(c.u64().unwrap()))
-                            .collect::<Vec<_>>(),
-                    );
-                    data32 = None;
-                } else {
-                    data64 = None;
-                    data32 = Some(
-                        (0..count)
-                            .map(|_| f32::from_bits(c.u32().unwrap()))
-                            .collect::<Vec<_>>(),
-                    );
-                }
-                // Version tolerance (the `Pong` tail pattern): a v1
-                // peer's submit body ends at the tensor; a tracing
-                // peer appends one u64 trace id. A torn tail is still
-                // truncated, surplus bytes still a desync.
-                let trace = if c.remaining() == 0 {
-                    None
-                } else {
-                    let Some(id) = c.u64() else {
-                        return Err(truncated(&c, 16 + count * elem + 8));
-                    };
-                    Some(id)
-                };
-                match data64 {
-                    Some(data) => Self::SubmitF64 {
-                        req,
-                        func,
-                        data,
-                        trace,
-                    },
-                    None => Self::SubmitF32 {
-                        req,
-                        func,
-                        data: data32.expect("one lane is set"),
-                        trace,
-                    },
-                }
-            }
+            kind::SUBMIT_F64 => get_submit::<f64>(&mut c).map_err(truncated)?,
+            kind::SUBMIT_F32 => get_submit::<f32>(&mut c).map_err(truncated)?,
             kind::PING => {
-                let Some(nonce) = c.u64() else {
-                    return Err(truncated(&c, 8));
+                let Ok(nonce) = c.u64() else {
+                    return Err(truncated(8));
                 };
                 Self::Ping { nonce }
             }
             kind::DRAIN => Self::Drain,
             kind::ACK => {
-                let Some(req) = c.u64() else {
-                    return Err(truncated(&c, 8));
+                let Ok(req) = c.u64() else {
+                    return Err(truncated(8));
                 };
                 Self::Ack { req }
             }
-            kind::RESULT_F64 | kind::RESULT_F32 => {
-                let (Some(req), Some(count)) = (c.u64(), c.u32()) else {
-                    return Err(truncated(&c, 12));
-                };
-                let count = count as usize;
-                let elem = if k == kind::RESULT_F64 { 8 } else { 4 };
-                if c.remaining() < count * elem {
-                    return Err(truncated(&c, 12 + count * elem));
-                }
-                if k == kind::RESULT_F64 {
-                    let data = (0..count)
-                        .map(|_| f64::from_bits(c.u64().unwrap()))
-                        .collect();
-                    Self::ResultF64 { req, data }
-                } else {
-                    let data = (0..count)
-                        .map(|_| f32::from_bits(c.u32().unwrap()))
-                        .collect();
-                    Self::ResultF32 { req, data }
-                }
-            }
+            kind::RESULT_F64 => get_result::<f64>(&mut c).map_err(truncated)?,
+            kind::RESULT_F32 => get_result::<f32>(&mut c).map_err(truncated)?,
             kind::ERROR => {
-                let (Some(req), Some(code), Some(detail)) = (c.u64(), c.u8(), c.u32()) else {
-                    return Err(truncated(&c, 13));
+                let (Ok(req), Ok(code), Ok(detail)) = (c.u64(), c.u8(), c.u32()) else {
+                    return Err(truncated(13));
                 };
                 let code = ErrorCode::from_u8(code).ok_or(FrameError::BadErrorCode(code))?;
                 Self::Error { req, code, detail }
             }
             kind::PONG => {
-                let (Some(nonce), Some(draining), Some(queued_elems), Some(inflight)) =
+                let (Ok(nonce), Ok(draining), Ok(queued_elems), Ok(inflight)) =
                     (c.u64(), c.u8(), c.u64(), c.u64())
                 else {
-                    return Err(truncated(&c, 25));
+                    return Err(truncated(25));
                 };
                 // Version tolerance: a legacy peer's pong ends here; a
                 // current peer appends the three telemetry u64s. Any
@@ -564,8 +557,8 @@ impl Frame {
                 let (queued_jobs, flushes, eval_p99_us) = if c.remaining() == 0 {
                     (0, 0, 0)
                 } else {
-                    let (Some(j), Some(fl), Some(p)) = (c.u64(), c.u64(), c.u64()) else {
-                        return Err(truncated(&c, 49));
+                    let (Ok(j), Ok(fl), Ok(p)) = (c.u64(), c.u64(), c.u64()) else {
+                        return Err(truncated(49));
                     };
                     (j, fl, p)
                 };
@@ -580,20 +573,19 @@ impl Frame {
                 }
             }
             kind::STATS_REQUEST => {
-                let Some(nonce) = c.u64() else {
-                    return Err(truncated(&c, 8));
+                let Ok(nonce) = c.u64() else {
+                    return Err(truncated(8));
                 };
                 Self::StatsRequest { nonce }
             }
             kind::STATS => {
-                let (Some(nonce), Some(len)) = (c.u64(), c.u32()) else {
-                    return Err(truncated(&c, 12));
+                let (Ok(nonce), Ok(len)) = (c.u64(), c.u32()) else {
+                    return Err(truncated(12));
                 };
-                let len = len as usize;
-                if c.remaining() < len {
-                    return Err(truncated(&c, 12 + len));
-                }
-                let snapshot = c.take(len).unwrap().to_vec();
+                let Ok(snapshot) = c.bytes(len as usize) else {
+                    return Err(truncated(12 + len as usize));
+                };
+                let snapshot = snapshot.to_vec();
                 Self::Stats { nonce, snapshot }
             }
             other => return Err(FrameError::UnknownKind(other)),

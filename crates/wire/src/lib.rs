@@ -17,7 +17,10 @@
 //! * [`Frame`] / [`FrameReader`] — the codec: total (never panics on
 //!   input bytes), allocation-bounded ([`MAX_PAYLOAD`] is rejected
 //!   before buffering), and incremental (frames reassemble identically
-//!   from any byte-level chunking of the stream).
+//!   from any byte-level chunking of the stream). Both precisions'
+//!   Submit/Result bodies go through one generic element codec, which
+//!   the sealed [`WireElement`] (`f64` or `f32`) supplies, and decoding
+//!   reads through the shared [`flexsfu_obs::ByteCursor`].
 //! * [`WireServer`] — a TCP front-end over a
 //!   [`flexsfu_serve::ServeHandle`]: per-connection multiplexing with
 //!   out-of-order responses, admission through the non-blocking submit
@@ -31,8 +34,9 @@
 //!   loop that answers malformed bytes with a protocol error, hands
 //!   every decoded frame to the listener's handler, and writes the
 //!   replies of one socket read with one write.
-//! * [`WireClient`] — the matching client: submit returns a
-//!   [`WireTicket`] immediately, a reader thread completes tickets as
+//! * [`WireClient`] — the matching client: the generic
+//!   [`WireClient::submit`] returns a [`WireTicket`] in the submitted
+//!   precision immediately, a reader thread completes tickets as
 //!   responses arrive, and the server's **ack** is observable
 //!   separately ([`WireTicket::was_acked`]) — the accepted/not-accepted
 //!   boundary the sharded tier's zero-loss failover is built on.
@@ -69,7 +73,8 @@
 //! let wire = WireServer::start_local(server.handle(), WireConfig::default())?;
 //! let client = WireClient::connect(wire.local_addr())?;
 //!
-//! let ticket = client.submit_f64(gelu.0, vec![-1.0, 0.0, 2.0])?;
+//! // The element type picks the lane: f64 here, `Vec<f32>` for f32.
+//! let ticket = client.submit(gelu.0, vec![-1.0_f64, 0.0, 2.0])?;
 //! let ys = ticket.wait()?;
 //! assert_eq!(ys.len(), 3);
 //!
@@ -94,6 +99,6 @@ pub mod telemetry;
 
 pub use client::{AckProbe, Health, WireClient, WireTicket, WireTicketF32};
 pub use error::WireError;
-pub use frame::{Frame, FrameError, FrameReader, MAX_PAYLOAD};
+pub use frame::{Frame, FrameError, FrameReader, WireElement, MAX_PAYLOAD};
 pub use server::{WireConfig, WireServer};
 pub use telemetry::{TelemetryCollector, WireSink};

@@ -3,8 +3,10 @@
 //!
 //! A server started with [`crate::WireServer::start_with_obs`] counts
 //! every frame and byte in both directions and every socket write out,
-//! classifies protocol errors by code, and times the ack→answer window
-//! per accepted job. It also
+//! classifies protocol errors by code, and times the window from ack to
+//! result handed to the socket per accepted job. Outbound series are
+//! recorded before the bytes go out, so a client that has read a reply
+//! and then scrapes finds it counted. It also
 //! reads back two serving-tier series ([`flexsfu_serve::obs`]) to fill
 //! the telemetry tail of [`crate::Frame::Pong`], and serves the whole
 //! registry as a [`crate::Frame::Stats`] snapshot — which is why the
@@ -18,18 +20,20 @@ use std::sync::Arc;
 
 /// Frames decoded off client connections (counter).
 pub const M_FRAMES_IN: &str = "flexsfu_wire_frames_in_total";
-/// Frames written back to clients (counter).
+/// Frames handed to client sockets (counter).
 pub const M_FRAMES_OUT: &str = "flexsfu_wire_frames_out_total";
 /// Socket writes to clients, each carrying one or more frames
 /// (counter); frames out ÷ writes is the live coalescing factor.
 pub const M_WRITES_OUT: &str = "flexsfu_wire_writes_total";
 /// Raw bytes read off client connections (counter).
 pub const M_BYTES_IN: &str = "flexsfu_wire_bytes_in_total";
-/// Raw bytes written back to clients (counter).
+/// Raw bytes handed to client sockets (counter).
 pub const M_BYTES_OUT: &str = "flexsfu_wire_bytes_out_total";
 /// Error frames sent, labelled `code="retry_after"|"draining"|…` (counter).
 pub const M_ERRORS: &str = "flexsfu_wire_errors_total";
-/// Ack write → answer write latency per accepted job (histogram, ns).
+/// Ack → result handed to the socket, per accepted job (histogram, ns).
+/// Recorded just before the result's write, so a client that has read
+/// its result and then scrapes finds the sample.
 pub const M_ACK_TO_RESULT_NS: &str = "flexsfu_wire_ack_to_result_ns";
 
 /// The label value for an [`ErrorCode`] on [`M_ERRORS`].
@@ -99,7 +103,7 @@ impl WireObsState {
         self.spans.now_ns()
     }
 
-    /// Counts one successful socket write of `frames` frames and
+    /// Counts one socket write of `frames` frames and
     /// `bytes` bytes, bumping the per-code error series once for each
     /// [`crate::Frame::Error`] it carried (their codes in `errors`).
     pub(crate) fn count_write(&self, frames: u64, bytes: usize, errors: &[ErrorCode]) {

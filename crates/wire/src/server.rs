@@ -58,12 +58,11 @@
 //! * Pending replies are written before any close, including one caused
 //!   by a protocol error or the stop flag.
 
-use crate::client::WireElement;
 use crate::conn::{Acceptor, Conn, ConnWriter, Handler, Outbox};
-use crate::frame::{ErrorCode, Frame};
+use crate::frame::{ErrorCode, Frame, WireElement};
 use crate::obs::WireObsState;
 use flexsfu_obs::{SpanCell, Stage};
-use flexsfu_serve::{FunctionId, JobTicket, ServeError, ServeHandle, ServeObs};
+use flexsfu_serve::{FunctionId, ServeError, ServeHandle, ServeObs};
 use std::future::Future;
 use std::net::SocketAddr;
 use std::pin::Pin;
@@ -131,8 +130,8 @@ impl WireServer {
     }
 
     /// [`Self::start`] with telemetry: frame/byte/error counters, the
-    /// ack→answer histogram, pong telemetry tails, and
-    /// [`Frame::StatsRequest`] answered with real snapshots. Pass the
+    /// ack → result-handed-to-the-socket histogram, pong telemetry
+    /// tails, and [`Frame::StatsRequest`] answered with real snapshots. Pass the
     /// *same* [`ServeObs`] the serving engine was started with, so the
     /// pong tail and the stats snapshot report the engine behind this
     /// socket.
@@ -251,10 +250,10 @@ impl WireServer {
 /// One accepted job awaiting its result in the pump.
 struct PendingJob {
     /// Clock read just after the ack write (0 when the server runs
-    /// without observability) — the start of the ack→answer histogram
+    /// without observability) — the start of the ack→result histogram
     /// window.
     t_ack: u64,
-    /// The job's trace cell, stamped when the answer is written.
+    /// The job's trace cell, stamped as the answer goes to the socket.
     span: Option<Arc<SpanCell>>,
     /// The serve ticket, mapped onto the job's reply frame (either
     /// precision).
@@ -362,28 +361,18 @@ impl Handler for Dispatcher<'_> {
     fn frame(&mut self, frame: Frame, out: &mut Outbox) -> bool {
         let shared = self.shared;
         match frame {
-            // The decoded trace tail rides into the serving tier so the
-            // shard-side recorder adopts the router-minted id.
             Frame::SubmitF64 {
                 req,
                 func,
                 data,
                 trace,
-            } => self.admit(req, out, || {
-                shared
-                    .handle
-                    .try_submit_traced(FunctionId(func), data, trace)
-            }),
+            } => self.admit(req, func, data, trace, out),
             Frame::SubmitF32 {
                 req,
                 func,
                 data,
                 trace,
-            } => self.admit(req, out, || {
-                shared
-                    .handle
-                    .try_submit_f32_traced(FunctionId(func), data, trace)
-            }),
+            } => self.admit(req, func, data, trace, out),
             Frame::Ping { nonce } => {
                 let depth = shared.handle.queue_depth();
                 // The telemetry tail reads the serving tier's own series —
@@ -455,14 +444,22 @@ impl Dispatcher<'_> {
     fn admit<T: WireElement>(
         &mut self,
         req: u64,
+        func: u32,
+        data: Vec<T>,
+        trace: Option<u64>,
         out: &mut Outbox,
-        submit: impl FnOnce() -> Result<JobTicket<T>, ServeError>,
     ) {
         if self.shared.draining.load(Ordering::SeqCst) {
             out.error(req, ErrorCode::Draining);
             return;
         }
-        let ticket = match submit() {
+        // The decoded trace tail rides into the serving tier so the
+        // shard-side recorder adopts the router-minted id.
+        let submitted = self
+            .shared
+            .handle
+            .try_submit_traced(FunctionId(func), data, trace);
+        let ticket = match submitted {
             Ok(ticket) => ticket,
             Err(e) => {
                 out.push(&submit_error(req, &e, self.shared));
@@ -548,9 +545,9 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
                 Poll::Pending => still_pending.push(job),
             }
         }
-        // A dead socket is fine — the peer stopped caring; the jobs
-        // themselves completed and are no longer in flight either way.
-        let _ = writer.write(&mut out);
+        // Telemetry first: a client that reads its results and then
+        // scrapes must find them recorded. The window therefore ends
+        // when the result is handed to the socket.
         if let Some(o) = &shared.obs {
             let now = o.now_ns();
             for job in &answered {
@@ -562,6 +559,11 @@ fn pump_loop(pump: &Arc<Pump>, writer: &ConnWriter, shared: &ServerShared) {
                 }
             }
         }
+        // A dead socket is fine — the peer stopped caring; the jobs
+        // themselves completed and are no longer in flight either way.
+        // In-flight drops only after the write: `inflight == 0` must
+        // mean every accepted result was written (the router's drain).
+        let _ = writer.write(&mut out);
         shared
             .inflight
             .fetch_sub(answered.len() as u64, Ordering::SeqCst);

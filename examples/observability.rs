@@ -92,10 +92,8 @@ fn main() {
 
     // ── 2a. Warm traffic on both shards ─────────────────────────────
     for i in 0..120 {
-        router.eval_f64(GELU, &warm_payload(i)).expect("gelu eval");
-        router
-            .eval_f64(TANH, &warm_payload(i + 7))
-            .expect("tanh eval");
+        router.eval(GELU, &warm_payload(i)).expect("gelu eval");
+        router.eval(TANH, &warm_payload(i + 7)).expect("tanh eval");
     }
 
     // ── 2b. Adaptive retuner, metered into shard 0's registry ───────
@@ -131,7 +129,7 @@ fn main() {
     'shifted: for round in 0..40 {
         for i in 0..40 {
             router
-                .eval_f64(GELU, &shifted_payload(round * 40 + i))
+                .eval(GELU, &shifted_payload(round * 40 + i))
                 .expect("shifted eval");
         }
         for event in retuner.poll() {
@@ -176,7 +174,7 @@ fn main() {
     'resolve: for round in 0..40 {
         for i in 0..40 {
             router
-                .eval_f64(GELU, &shifted_payload(10_000 + round * 40 + i))
+                .eval(GELU, &shifted_payload(10_000 + round * 40 + i))
                 .expect("post-swap eval");
         }
         retuner.poll();

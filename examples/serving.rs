@@ -177,7 +177,7 @@ fn main() {
     println!("  cutover  : post-publish responses match the optimized table exactly");
 
     // 5. The f32 lane: the same tensor as a single-precision job. The
-    //    request stays f32 end to end — submit_f32 flows through packed
+    //    request stays f32 end to end — an f32 submit flows through packed
     //    f32 flush buffers into the registry's `CompiledPwlF32`, and the
     //    response is bit-identical to evaluating that engine directly.
     //    The printed delta is against the f64 path: the cost of serving
@@ -185,7 +185,7 @@ fn main() {
     use flexsfu::formats::{ulp::error_in_ulps_at, FloatFormat};
     let data32: Vec<f32> = data.iter().map(|&x| x as f32).collect();
     let got32 = handle
-        .submit_f32(gelu_id, data32.clone())
+        .submit::<f32>(gelu_id, data32.clone())
         .unwrap()
         .wait()
         .unwrap();

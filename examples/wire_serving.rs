@@ -85,7 +85,7 @@ fn drive_phase(
                     if r % 3 == 0 {
                         // Every third request takes the f32 lane.
                         let xs32: Vec<f32> = xs.iter().map(|&x| x as f32).collect();
-                        let ys = router.eval_f32(func, &xs32).expect("routed f32 request");
+                        let ys = router.eval::<f32>(func, &xs32).expect("routed f32 request");
                         let want = refs32[func.0 as usize].eval_batch(&xs32);
                         assert!(
                             ys.iter()
@@ -94,7 +94,7 @@ fn drive_phase(
                             "f32 response diverged from direct eval"
                         );
                     } else {
-                        let ys = router.eval_f64(func, &xs).expect("routed f64 request");
+                        let ys = router.eval(func, &xs).expect("routed f64 request");
                         let want = refs64[func.0 as usize].eval_batch(&xs);
                         assert!(
                             ys.iter()
