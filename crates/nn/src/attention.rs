@@ -309,7 +309,9 @@ impl SelfAttention {
             for i in 0..s {
                 let row: Vec<T> = (0..s).map(|j| scores.data()[i * s + j] * scale).collect();
                 let w = self.softmax_row(&row, train);
-                attn_all.data_mut()[n * s * s + i * s..n * s * s + (i + 1) * s].copy_from_slice(&w);
+                for j in 0..s {
+                    attn_all.data_mut()[n * s * s + i * s + j] = w[j];
+                }
                 // out_i = Σ_j w_ij · v_j
                 for c in 0..d {
                     let mut acc = T::default();
