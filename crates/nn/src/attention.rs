@@ -276,7 +276,7 @@ impl SelfAttention {
     }
 
     /// The forward pass in `T`, plus the activations backward needs
-    /// (kept only when training).
+    /// when `train` (which also selects the exact `exp`).
     fn attend<T: Element + Float>(
         &self,
         x: &Tensor<T>,
@@ -293,10 +293,14 @@ impl SelfAttention {
         let scale = T::from_f64(1.0) / T::from_f64((d as f64).sqrt());
         let (wq, wk, wv) = (self.wq.cast(), self.wk.cast(), self.wv.cast());
         let mut out = Tensor::zeros(vec![b, s * d]);
-        let mut attn_all = Tensor::zeros(vec![b, s * s]);
-        let mut q_all = Tensor::zeros(vec![b, s * d]);
-        let mut k_all = Tensor::zeros(vec![b, s * d]);
-        let mut v_all = Tensor::zeros(vec![b, s * d]);
+        // What backward needs, collected only when training.
+        let mut cache = train.then(|| AttnCache {
+            x: x.clone(),
+            q: Tensor::zeros(vec![b, s * d]),
+            k: Tensor::zeros(vec![b, s * d]),
+            v: Tensor::zeros(vec![b, s * d]),
+            attn: Tensor::zeros(vec![b, s * s]),
+        });
 
         for n in 0..b {
             let tokens =
@@ -309,8 +313,10 @@ impl SelfAttention {
             for i in 0..s {
                 let row: Vec<T> = (0..s).map(|j| scores.data()[i * s + j] * scale).collect();
                 let w = self.softmax_row(&row, train);
-                for j in 0..s {
-                    attn_all.data_mut()[n * s * s + i * s + j] = w[j];
+                if let Some(cache) = &mut cache {
+                    for j in 0..s {
+                        cache.attn.data_mut()[n * s * s + i * s + j] = w[j];
+                    }
                 }
                 // out_i = Σ_j w_ij · v_j
                 for c in 0..d {
@@ -321,17 +327,12 @@ impl SelfAttention {
                     out.data_mut()[n * s * d + i * d + c] = acc;
                 }
             }
-            q_all.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(q.data());
-            k_all.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(k.data());
-            v_all.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(v.data());
+            if let Some(cache) = &mut cache {
+                cache.q.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(q.data());
+                cache.k.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(k.data());
+                cache.v.data_mut()[n * s * d..(n + 1) * s * d].copy_from_slice(v.data());
+            }
         }
-        let cache = train.then(|| AttnCache {
-            x: x.clone(),
-            q: q_all,
-            k: k_all,
-            v: v_all,
-            attn: attn_all,
-        });
         (out, cache)
     }
 }

@@ -320,7 +320,9 @@ macro_rules! wire_element {
                 out.extend_from_slice(&self.to_bits().to_le_bytes());
             }
             fn get(bytes: &[u8]) -> Self {
-                <$t>::from_bits(<$bits>::from_le_bytes(bytes.try_into().expect("WIDTH bytes")))
+                <$t>::from_bits(<$bits>::from_le_bytes(
+                    bytes.try_into().expect("WIDTH bytes"),
+                ))
             }
             fn submit(req: u64, func: u32, data: Vec<Self>, trace: Option<u64>) -> Frame {
                 Frame::$submit {
